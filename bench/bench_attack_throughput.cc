@@ -350,6 +350,11 @@ BENCHMARK(BM_GreedyPoisonCdf_Incremental)
     ->Args({kLogNormal, 100000, 1000, 1, 1, 0})
     ->Args({kLogNormal, 100000, 1000, 1, 0, 0})
     ->Args({kLogNormal, 100000, 1000, 0, 1, 1})
+    // Serial vs pool of 2 at the benchmark's attack size (p=50 on 10^6
+    // log-normal keys): the pool must do about the serial scan's work
+    // (exact_evals / bound_evals), not a multiple of it.
+    ->Args({kLogNormal, 1000000, 50, 1, 1, 1})
+    ->Args({kLogNormal, 1000000, 50, 2, 1, 1})
     ->Args({kUniform, 100000, 1000, 1, 1, 1})
     ->Args({kUniform, 100000, 1000, 1, 1, 0})
     ->Args({kUniform, 100000, 1000, 1, 0, 0})
@@ -383,6 +388,9 @@ BENCHMARK(BM_GreedyDeleteCdf_Incremental)
     ->Args({kUniform, 100000, 200, 1, 0, 0})
     ->Args({kUniform, 100000, 200, 0, 1, 1})
     ->Args({kLogNormal, 100000, 200, 1, 1, 1})
+    // Serial vs pool of 2, d=25 on 10^6 log-normal keys (as above).
+    ->Args({kLogNormal, 1000000, 25, 1, 1, 1})
+    ->Args({kLogNormal, 1000000, 25, 2, 1, 1})
     // ISSUE 9 scale row: same d=200 budget as the n=100k rows so the
     // per-commit SoA touched-slot quotient is directly comparable.
     ->Args({kUniform, 10000000, 200, 1, 1, 1});

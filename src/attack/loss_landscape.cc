@@ -951,6 +951,76 @@ void EnsureScratchSize(std::vector<T>* buf, std::size_t needed,
   ScratchPoisonTail(buf, needed);
 }
 
+/// Folds one exactly evaluated candidate into *best/*have under the
+/// first-maximum-in-key-order rule in order-independent form: a strictly
+/// larger loss wins; an equal loss wins only with a smaller key. A scan
+/// in key order reduces this to the plain strict > rule.
+inline void Offer(Key kp, long double loss, LossLandscape::Candidate* best,
+                  bool* have) {
+  if (!*have || loss > best->loss || (loss == best->loss && kp < best->key)) {
+    best->key = kp;
+    best->loss = loss;
+    *have = true;
+  }
+}
+
+/// Pooled argmax over \p num_chunks fixed chunks: every chunk runs
+/// scan(chunk, &best, &have, &stats) from the incoming *best/*have (the
+/// shared pruning floor; none when !*have), then the chunk winners fold
+/// into *best through Offer and the chunk counters into *stats, in chunk
+/// order. Pruning inside a chunk is strict (a candidate is skipped only
+/// when its bound is below the running best), so the global argmax is
+/// evaluated in its own chunk and Offer's tie rule returns exactly the
+/// serial scan's winner. The chunk layout is a pure function of the
+/// landscape, so winner and counters are the same for every pool size.
+template <typename Scan>
+void ReduceChunks(ThreadPool* pool, std::size_t num_chunks, const Scan& scan,
+                  LossLandscape::Candidate* best, bool* have,
+                  LossLandscape::ArgmaxStats* stats) {
+  std::vector<LossLandscape::Candidate> chunk_best(num_chunks, *best);
+  std::vector<char> chunk_have(num_chunks, *have ? 1 : 0);
+  std::vector<LossLandscape::ArgmaxStats> chunk_stats(num_chunks);
+  pool->ParallelFor(static_cast<std::int64_t>(num_chunks),
+                    [&](std::int64_t c) {
+                      const auto ci = static_cast<std::size_t>(c);
+                      bool found = chunk_have[ci] != 0;
+                      scan(ci, &chunk_best[ci], &found, &chunk_stats[ci]);
+                      chunk_have[ci] = found ? 1 : 0;
+                    });
+  for (std::size_t ci = 0; ci < num_chunks; ++ci) {
+    // Chunk scans never touch rounds/fallback, so Add folds in exactly
+    // the per-chunk scan counters.
+    stats->Add(chunk_stats[ci]);
+    if (chunk_have[ci]) {
+      Offer(chunk_best[ci].key, chunk_best[ci].loss, best, have);
+    }
+  }
+}
+
+/// Whether more than one chunk [first, end) holds a tier (or block)
+/// whose range bound in \p bounds reaches the running best. The other
+/// chunks are settled by those bounds alone, so with at most one chunk
+/// of real work the serial sweep is cheaper than any fan-out: 50 rounds
+/// on 10^6 log-normal keys take ~1.6 ms of serial argmax against ~6 ms
+/// on a pool of 2 that is woken every round. A pure function of the
+/// landscape and the seed, so counters stay independent of pool size.
+bool ManyLiveChunks(
+    const std::vector<std::pair<std::size_t, std::size_t>>& chunks,
+    const std::vector<double>& bounds, const LossLandscape::Candidate& best,
+    bool have) {
+  if (!have) return true;
+  int live = 0;
+  for (const auto& [first, end] : chunks) {
+    for (std::size_t i = first; i < end; ++i) {
+      if (bounds[i] >= best.loss) {
+        if (++live > 1) return true;
+        break;
+      }
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 void LossLandscape::PoisonArgmaxScratchForTesting() const {
@@ -990,20 +1060,10 @@ void LossLandscape::ScanGapRanges(std::size_t first, std::size_t end,
                                   const std::unordered_set<Key>* excluded,
                                   Candidate* best, bool* have,
                                   ArgmaxStats* stats) const {
-  // First-maximum-in-key-order semantics, order-independent form:
-  // strictly larger loss wins; an equal loss wins only with a smaller
-  // key. The exhaustive scan visits candidates in key order, where this
-  // reduces to the original strict > rule.
   auto consider = [&](Key kp, Rank count_less, Int128 suffix_sum) {
     if (excluded != nullptr && excluded->count(kp) != 0) return;
-    const long double loss = LossWithInsertion(kp, count_less, suffix_sum);
     ++stats->exact_evals;
-    if (!*have || loss > best->loss ||
-        (loss == best->loss && kp < best->key)) {
-      best->key = kp;
-      best->loss = loss;
-      *have = true;
-    }
+    Offer(kp, LossWithInsertion(kp, count_less, suffix_sum), best, have);
   };
   auto eval_gap = [&](std::size_t i) {
     const GapRange& g = argmax_ranges_[i];
@@ -1146,119 +1206,113 @@ void LossLandscape::BatchTierBounds(const TieredGaps::Tier& t,
   }
 }
 
-void LossLandscape::ScanTiersCached(std::size_t first, std::size_t end,
-                                    Key lo_bound, Key hi_bound,
-                                    const BoundCtx& ctx,
+void LossLandscape::StageTierBounds(const TieredGaps::Tier& t, Key lo_bound,
+                                    Key hi_bound, const BoundCtx& ctx,
                                     const std::unordered_set<Key>* excluded,
-                                    double* seed_bounds, double* scratch,
-                                    double* soa, Candidate* best,
-                                    bool* have, ArgmaxStats* stats) const {
-  const std::vector<TieredGaps::Tier>& tiers = gaps_.tiers();
-  auto consider = [&](Key kp, Rank count_less, Int128 suffix_sum) {
-    if (excluded != nullptr && excluded->count(kp) != 0) return;
-    const long double loss = LossWithInsertion(kp, count_less, suffix_sum);
-    ++stats->exact_evals;
-    if (!*have || loss > best->loss ||
-        (loss == best->loss && kp < best->key)) {
-      best->key = kp;
-      best->loss = loss;
-      *have = true;
-    }
-  };
-  auto eval_rec = [&](const TieredGaps::GapRec& g,
-                      const TieredGaps::Tier& t) {
-    const Rank count_less = g.cnt + t.delta_cnt;
-    const Int128 suffix = sum_k_ - (g.sum + t.delta_sum);
-    consider(g.lo, count_less, suffix);
-    if (g.hi != g.lo) consider(g.hi, count_less, suffix);
-  };
-  // FindOptimal's scan ranges never clip a gap partially (range bounds
-  // are min/max +- 1 or the domain edges, and gaps are bounded by
-  // occupied keys), so membership is a whole-gap test.
-  auto in_range = [lo_bound, hi_bound](const TieredGaps::GapRec& g) {
-    return g.hi >= lo_bound && g.lo <= hi_bound;
-  };
-  auto count_at = [this](std::size_t pos) {
-    return argmax_tier_suffix_cnt_[pos] - argmax_tier_suffix_cnt_[pos + 1];
-  };
-  // Per-gap point bound over the non-excluded endpoints (the same
-  // pipeline the uncached pre-pass runs, against the same per-round
-  // context); -inf when no admissible candidate remains.
-  constexpr double kNoBound = -std::numeric_limits<double>::infinity();
-  auto gap_bound = [&](const TieredGaps::GapRec& g,
-                       const TieredGaps::Tier& t) {
-    const double c1 = static_cast<double>(g.cnt + t.delta_cnt + 1);
-    const double s =
-        static_cast<double>(sum_k_ - (g.sum + t.delta_sum));
-    double bnd = kNoBound;
-    if (excluded == nullptr || excluded->count(g.lo) == 0) {
-      bnd = ctx.Upper(static_cast<double>(g.lo - shift_), c1, s);
-      ++stats->bound_evals;
-    }
-    if (g.hi != g.lo &&
-        (excluded == nullptr || excluded->count(g.hi) == 0)) {
-      const double b2 =
-          ctx.Upper(static_cast<double>(g.hi - shift_), c1, s);
-      ++stats->bound_evals;
-      if (b2 > bnd) bnd = b2;
-    }
-    return bnd;
-  };
-
-  // Seed the running best inside the tier with the highest box bound
-  // (the tiered analogue of the uncached top-K re-check): compute that
-  // tier's per-gap bounds once — staged into this chunk's slice of the
-  // engine-owned scratch so the sweep below reuses them — and
-  // exact-evaluate the best one. Strict > keeps the earliest tier/gap
-  // on ties — a pure function of the structure, so the seed is
-  // identical for every thread count.
-  std::size_t seed_pos = end;
-  double seed_box = -std::numeric_limits<double>::infinity();
-  for (std::size_t pos = first; pos < end; ++pos) {
-    if (count_at(pos) <= 0) continue;
-    const double bx = argmax_tier_bounds_[pos];
-    if (bx > seed_box) {
-      seed_box = bx;
-      seed_pos = pos;
-    }
-  }
+                                    double* soa, double* out,
+                                    ArgmaxStats* stats) const {
   // A tier strictly inside the scan range with no exclusions takes the
   // batched SoA kernel; partially clipped edge tiers (at most two per
   // scan), excluded-key scans, and small tiers (measured: the staging
   // pass costs more than the vector lanes recover below ~tens of gaps,
   // the RMI per-model regime) keep the scalar per-gap path.
   constexpr std::size_t kBatchMinTierGaps = 64;
-  auto whole_tier = [&](const TieredGaps::Tier& t) {
-    return excluded == nullptr && t.gaps.size() >= kBatchMinTierGaps &&
-           t.lo >= lo_bound && t.hi <= hi_bound;
-  };
-  const TieredGaps::GapRec* seed_gap = nullptr;
-  if (seed_pos != end) {
-    const TieredGaps::Tier& t = tiers[argmax_tier_list_[seed_pos]];
-    double gap_best = -std::numeric_limits<double>::infinity();
-    if (whole_tier(t)) {
-      BatchTierBounds(t, ctx, soa, seed_bounds, stats);
-      for (std::size_t gi = 0; gi < t.gaps.size(); ++gi) {
-        if (seed_bounds[gi] > gap_best) {
-          gap_best = seed_bounds[gi];
-          seed_gap = &t.gaps[gi];
-        }
-      }
-    } else {
-      for (std::size_t gi = 0; gi < t.gaps.size(); ++gi) {
-        const TieredGaps::GapRec& g = t.gaps[gi];
-        if (!in_range(g)) continue;
-        const double b = gap_bound(g, t);
-        seed_bounds[gi] = b;
-        if (b > gap_best) {
-          gap_best = b;
-          seed_gap = &g;
-        }
-      }
-    }
-    if (seed_gap != nullptr) eval_rec(*seed_gap, t);
+  if (excluded == nullptr && t.gaps.size() >= kBatchMinTierGaps &&
+      t.lo >= lo_bound && t.hi <= hi_bound) {
+    BatchTierBounds(t, ctx, soa, out, stats);
+    return;
   }
+  // Scalar per-gap point bound over the non-excluded endpoints of the
+  // in-range gaps (the same pipeline the uncached pre-pass runs,
+  // against the same per-round context); -inf when no admissible
+  // candidate remains. FindOptimal's scan ranges never clip a gap
+  // partially (range bounds are min/max +- 1 or the domain edges, and
+  // gaps are bounded by occupied keys), so membership is a whole-gap
+  // test.
+  for (std::size_t gi = 0; gi < t.gaps.size(); ++gi) {
+    const TieredGaps::GapRec& g = t.gaps[gi];
+    if (g.hi < lo_bound || g.lo > hi_bound) continue;
+    const double c1 = static_cast<double>(g.cnt + t.delta_cnt + 1);
+    const double s = static_cast<double>(sum_k_ - (g.sum + t.delta_sum));
+    double bnd = -std::numeric_limits<double>::infinity();
+    if (excluded == nullptr || excluded->count(g.lo) == 0) {
+      bnd = ctx.Upper(static_cast<double>(g.lo - shift_), c1, s);
+      ++stats->bound_evals;
+    }
+    if (g.hi != g.lo &&
+        (excluded == nullptr || excluded->count(g.hi) == 0)) {
+      const double b2 = ctx.Upper(static_cast<double>(g.hi - shift_), c1, s);
+      ++stats->bound_evals;
+      if (b2 > bnd) bnd = b2;
+    }
+    out[gi] = bnd;
+  }
+}
 
+void LossLandscape::EvalTierGap(const TieredGaps::GapRec& g,
+                                const TieredGaps::Tier& t,
+                                const std::unordered_set<Key>* excluded,
+                                Candidate* best, bool* have,
+                                ArgmaxStats* stats) const {
+  const Rank count_less = g.cnt + t.delta_cnt;
+  const Int128 suffix = sum_k_ - (g.sum + t.delta_sum);
+  auto consider = [&](Key kp) {
+    if (excluded != nullptr && excluded->count(kp) != 0) return;
+    ++stats->exact_evals;
+    Offer(kp, LossWithInsertion(kp, count_less, suffix), best, have);
+  };
+  consider(g.lo);
+  if (g.hi != g.lo) consider(g.hi);
+}
+
+std::size_t LossLandscape::SeedTiersCached(
+    std::size_t num_listed, Key lo_bound, Key hi_bound, const BoundCtx& ctx,
+    const std::unordered_set<Key>* excluded, double* seed_bounds,
+    double* soa, const TieredGaps::GapRec** seed_gap, Candidate* best,
+    bool* have, ArgmaxStats* stats) const {
+  // The tiered analogue of the uncached top-K re-check: over the whole
+  // scanned range, stage the per-gap bounds of the tier with the highest
+  // range bound and exact-evaluate its best gap. Strict > keeps the
+  // earliest tier/gap on ties, a pure function of the structure.
+  std::size_t seed_pos = num_listed;
+  double seed_box = -std::numeric_limits<double>::infinity();
+  for (std::size_t pos = 0; pos < num_listed; ++pos) {
+    if (argmax_tier_suffix_cnt_[pos] == argmax_tier_suffix_cnt_[pos + 1]) {
+      continue;  // No in-range gap.
+    }
+    if (argmax_tier_bounds_[pos] > seed_box) {
+      seed_box = argmax_tier_bounds_[pos];
+      seed_pos = pos;
+    }
+  }
+  *seed_gap = nullptr;
+  if (seed_pos == num_listed) return seed_pos;
+  const TieredGaps::Tier& t = gaps_.tiers()[argmax_tier_list_[seed_pos]];
+  StageTierBounds(t, lo_bound, hi_bound, ctx, excluded, soa, seed_bounds,
+                  stats);
+  double gap_best = -std::numeric_limits<double>::infinity();
+  for (std::size_t gi = 0; gi < t.gaps.size(); ++gi) {
+    const TieredGaps::GapRec& g = t.gaps[gi];
+    if (g.hi < lo_bound || g.lo > hi_bound) continue;
+    if (seed_bounds[gi] > gap_best) {
+      gap_best = seed_bounds[gi];
+      *seed_gap = &g;
+    }
+  }
+  if (*seed_gap != nullptr) {
+    EvalTierGap(**seed_gap, t, excluded, best, have, stats);
+  }
+  return seed_pos;
+}
+
+void LossLandscape::ScanTiersCached(
+    std::size_t first, std::size_t end, Key lo_bound, Key hi_bound,
+    const BoundCtx& ctx, const std::unordered_set<Key>* excluded,
+    std::size_t seed_pos, const TieredGaps::GapRec* seed_gap,
+    const double* seed_bounds, double* scratch, double* soa, Candidate* best,
+    bool* have, ArgmaxStats* stats) const {
+  const std::vector<TieredGaps::Tier>& tiers = gaps_.tiers();
+  constexpr double kNoBound = -std::numeric_limits<double>::infinity();
   // Key-ordered sweep: skip whole tiers via their box bound, re-score
   // only the survivors per gap, and exit once every remaining tier box
   // is below the best. The suffix arrays are global (they extend past
@@ -1275,7 +1329,8 @@ void LossLandscape::ScanTiersCached(std::size_t first, std::size_t end,
       stats->cached_bounds += rest;
       break;
     }
-    const std::int64_t here = count_at(pos);
+    const std::int64_t here =
+        argmax_tier_suffix_cnt_[pos] - argmax_tier_suffix_cnt_[pos + 1];
     if (here <= 0) continue;
     const TieredGaps::Tier& t = tiers[argmax_tier_list_[pos]];
     if (*have && argmax_tier_bounds_[pos] < best->loss) {
@@ -1284,16 +1339,12 @@ void LossLandscape::ScanTiersCached(std::size_t first, std::size_t end,
       continue;
     }
     stats->invalidated_gaps += here;
-    const bool is_seed_tier = pos == seed_pos;
-    // Staged bounds: the seed tier's came from the seed phase; any
-    // other fully-in-range surviving tier re-scores through the batched
-    // SoA kernel into this chunk's scratch slice. Clipped edge tiers
-    // and excluded-key scans fall back to the scalar per-gap score.
-    const double* staged = nullptr;
-    if (is_seed_tier) {
-      staged = seed_bounds;
-    } else if (whole_tier(t)) {
-      BatchTierBounds(t, ctx, soa, scratch, stats);
+    // The seed tier's bounds were staged by the seed phase; any other
+    // surviving tier is scored into this chunk's scratch slice.
+    const double* staged = seed_bounds;
+    if (pos != seed_pos) {
+      StageTierBounds(t, lo_bound, hi_bound, ctx, excluded, soa, scratch,
+                      stats);
       staged = scratch;
     }
     for (std::size_t gi = 0; gi < t.gaps.size(); ++gi) {
@@ -1301,13 +1352,13 @@ void LossLandscape::ScanTiersCached(std::size_t first, std::size_t end,
       if (g.hi < lo_bound) continue;
       if (g.lo > hi_bound) break;
       if (&g == seed_gap) continue;  // Already evaluated by the seed.
-      const double b = staged != nullptr ? staged[gi] : gap_bound(g, t);
+      const double b = staged[gi];
       if (b == kNoBound) continue;   // Every endpoint excluded.
       if (*have && b < best->loss) {
         ++stats->pruned_gaps;
         continue;
       }
-      eval_rec(g, t);
+      EvalTierGap(g, t, excluded, best, have, stats);
     }
   }
 }
@@ -1423,26 +1474,15 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimal(
 
     const bool parallel = pool != nullptr && pool->num_threads() > 1 &&
                           total_in_range > kArgmaxChunkGaps;
-    // Per chunk: a seed-staging slice plus a batch-scratch slice of
-    // argmax_bounds_ (2 x tier_cap) and a 4 x tier_cap SoA slice for
-    // the batched kernel's staging arrays.
-    const std::size_t seed_stride =
-        static_cast<std::size_t>(gaps_.tier_cap());
-    if (!parallel) {
-      EnsureScratchSize(&argmax_bounds_, 2 * seed_stride,
-                        &scratch_reallocs_);
-      EnsureScratchSize(&argmax_soa_, 4 * seed_stride, &scratch_reallocs_);
-      ScanTiersCached(0, num_listed, lo_bound, hi_bound, ctx, excluded,
-                      argmax_bounds_.data(),
-                      argmax_bounds_.data() + seed_stride,
-                      argmax_soa_.data(), &best, &have, &local);
-    } else {
-      // Consecutive tier groups of ~kArgmaxChunkGaps in-range gaps: a
-      // pure function of the structure, so the chunk layout — and the
-      // chunk-order reduction below — is identical for every pool size.
-      auto& chunks = PrepareScratch(
-          &argmax_chunk_tiers_,
-          static_cast<std::size_t>(total_in_range / kArgmaxChunkGaps) + 1);
+    // Pooled scans split the tier list into consecutive groups of
+    // ~kArgmaxChunkGaps in-range gaps: a pure function of the structure,
+    // so the chunk layout (and with it every counter) is identical for
+    // every pool size.
+    const std::size_t max_chunks =
+        static_cast<std::size_t>(total_in_range / kArgmaxChunkGaps) + 1;
+    auto& chunks =
+        PrepareScratch(&argmax_chunk_tiers_, parallel ? max_chunks : 0);
+    if (parallel) {
       std::size_t start = 0;
       std::int64_t acc = 0;
       for (std::size_t pos = 0; pos < num_listed; ++pos) {
@@ -1454,42 +1494,42 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimal(
         }
       }
       if (start < num_listed) chunks.emplace_back(start, num_listed);
-      const std::size_t num_chunks = chunks.size();
-      // Per-chunk disjoint slices of the shared scratch (seed staging,
-      // batch scratch, SoA staging), so workers never race.
-      EnsureScratchSize(&argmax_bounds_, num_chunks * 2 * seed_stride,
+    }
+    // Disjoint tier_cap-wide slices of argmax_bounds_ (the seed tier's
+    // staged bounds, then one batch-scratch slice per swept chunk) and a
+    // 4 x tier_cap SoA slice per swept chunk for the batched kernel's
+    // staging arrays, so workers never race.
+    const std::size_t stride = static_cast<std::size_t>(gaps_.tier_cap());
+    auto ensure_slices = [&](std::size_t slices) {
+      EnsureScratchSize(&argmax_bounds_, (slices + 1) * stride,
                         &scratch_reallocs_);
-      EnsureScratchSize(&argmax_soa_, num_chunks * 4 * seed_stride,
+      EnsureScratchSize(&argmax_soa_, slices * 4 * stride,
                         &scratch_reallocs_);
-      std::vector<Candidate> chunk_best(num_chunks);
-      std::vector<char> chunk_have(num_chunks, 0);
-      std::vector<ArgmaxStats> chunk_stats(num_chunks);
-      pool->ParallelFor(
-          static_cast<std::int64_t>(num_chunks),
-          [this, excluded, lo_bound, hi_bound, seed_stride, &ctx, &chunks,
-           &chunk_best, &chunk_have, &chunk_stats](std::int64_t c) {
-            const auto ci = static_cast<std::size_t>(c);
-            bool chunk_found = false;
-            double* slice = argmax_bounds_.data() + ci * 2 * seed_stride;
-            ScanTiersCached(chunks[ci].first, chunks[ci].second, lo_bound,
-                            hi_bound, ctx, excluded, slice,
-                            slice + seed_stride,
-                            argmax_soa_.data() + ci * 4 * seed_stride,
-                            &chunk_best[ci], &chunk_found,
-                            &chunk_stats[ci]);
-            chunk_have[ci] = chunk_found ? 1 : 0;
-          });
-      for (std::size_t ci = 0; ci < num_chunks; ++ci) {
-        // Chunk workers never touch rounds/fallback, so Add folds in
-        // exactly the per-chunk scan counters.
-        local.Add(chunk_stats[ci]);
-        if (!chunk_have[ci]) continue;
-        const Candidate& cb = chunk_best[ci];
-        if (!have || cb.loss > best.loss) {
-          best = cb;
-          have = true;
-        }
-      }
+    };
+    ensure_slices(1);
+    // One seed over the whole range, before any chunk runs: every chunk
+    // starts from it as its pruning floor and reads its staged bounds.
+    const TieredGaps::GapRec* seed_gap = nullptr;
+    const std::size_t seed_pos = SeedTiersCached(
+        num_listed, lo_bound, hi_bound, ctx, excluded, argmax_bounds_.data(),
+        argmax_soa_.data(), &seed_gap, &best, &have, &local);
+    auto sweep = [&](std::size_t first, std::size_t end, std::size_t slice,
+                     Candidate* b, bool* h, ArgmaxStats* s) {
+      ScanTiersCached(first, end, lo_bound, hi_bound, ctx, excluded, seed_pos,
+                      seed_gap, argmax_bounds_.data(),
+                      argmax_bounds_.data() + (slice + 1) * stride,
+                      argmax_soa_.data() + slice * 4 * stride, b, h, s);
+    };
+    if (parallel && ManyLiveChunks(chunks, argmax_tier_bounds_, best, have)) {
+      ensure_slices(chunks.size());  // Keeps the staged seed bounds.
+      ReduceChunks(
+          pool, chunks.size(),
+          [&](std::size_t ci, Candidate* b, bool* h, ArgmaxStats* s) {
+            sweep(chunks[ci].first, chunks[ci].second, ci, b, h, s);
+          },
+          &best, &have, &local);
+    } else {
+      sweep(0, num_listed, 0, &best, &have, &local);
     }
   } else {
     // -------------------------------------------------------------------
@@ -1529,43 +1569,19 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimal(
         EnsureScratchSize(&argmax_order_, m, &scratch_reallocs_);
       }
       if (parallel) {
-        // Fixed-size chunks reduced in chunk (= key) order with a strict >
-        // comparison: bit-identical to the serial scan for every thread
-        // count. With pruning on, each chunk runs the pruned pipeline
-        // against its chunk-local best — per-chunk bound filtering — which
-        // only depends on the chunk's own content, so the counters are
-        // thread-count independent too (but differ from the serial scan's,
-        // whose single running best prunes across the whole range).
-        const std::int64_t num_chunks =
-            (static_cast<std::int64_t>(m) + kArgmaxChunkGaps - 1) /
-            kArgmaxChunkGaps;
-        std::vector<Candidate> chunk_best(static_cast<std::size_t>(num_chunks));
-        std::vector<char> chunk_have(static_cast<std::size_t>(num_chunks), 0);
-        std::vector<ArgmaxStats> chunk_stats(
-            static_cast<std::size_t>(num_chunks));
-        pool->ParallelFor(num_chunks, [this, excluded, m, bound_ctx, &argmax,
-                                       &chunk_best, &chunk_have,
-                                       &chunk_stats](std::int64_t c) {
-          const std::size_t first = static_cast<std::size_t>(c) *
-                                    static_cast<std::size_t>(kArgmaxChunkGaps);
-          const std::size_t end = std::min(
-              m, first + static_cast<std::size_t>(kArgmaxChunkGaps));
-          bool chunk_found = false;
-          ScanGapRanges(first, end, argmax.top_k, bound_ctx, excluded,
-                        &chunk_best[static_cast<std::size_t>(c)], &chunk_found,
-                        &chunk_stats[static_cast<std::size_t>(c)]);
-          chunk_have[static_cast<std::size_t>(c)] = chunk_found ? 1 : 0;
-        });
-        for (std::int64_t c = 0; c < num_chunks; ++c) {
-          const auto ci = static_cast<std::size_t>(c);
-          local.Add(chunk_stats[ci]);
-          if (!chunk_have[ci]) continue;
-          const Candidate& cb = chunk_best[ci];
-          if (!have || cb.loss > best.loss) {
-            best = cb;
-            have = true;
-          }
-        }
+        // Fixed-size chunks, each running the whole pruned pipeline
+        // (pre-pass, top-K seed, sweep) against its own best. A global
+        // floor would need every chunk's pre-pass done before any sweep,
+        // so a second pass over all G bounds; this path is off by
+        // default (ArgmaxOptions::cache) and keeps chunk-local pruning.
+        const std::size_t chunk = static_cast<std::size_t>(kArgmaxChunkGaps);
+        ReduceChunks(
+            pool, (m + chunk - 1) / chunk,
+            [&](std::size_t ci, Candidate* b, bool* h, ArgmaxStats* s) {
+              ScanGapRanges(ci * chunk, std::min(m, (ci + 1) * chunk),
+                            argmax.top_k, bound_ctx, excluded, b, h, s);
+            },
+            &best, &have, &local);
       } else {
         ScanGapRanges(0, m, argmax.top_k, bound_ctx, excluded, &best, &have,
                       &local);
@@ -1579,14 +1595,9 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimal(
                      if (excluded != nullptr && excluded->count(kp) != 0) {
                        return;
                      }
-                     const long double loss =
-                         LossWithInsertion(kp, count_less, suffix);
                      ++local.exact_evals;
-                     if (!have || loss > best.loss) {
-                       best.key = kp;
-                       best.loss = loss;
-                       have = true;
-                     }
+                     Offer(kp, LossWithInsertion(kp, count_less, suffix),
+                           &best, &have);
                    };
                    consider(lo);
                    if (hi != lo) consider(hi);
@@ -1638,35 +1649,30 @@ long double LossLandscape::LossWithoutKey(Key key, std::int64_t rank,
                       SumRankSquares(n1), sum_xy);
 }
 
+void LossLandscape::EvalRemovalKey(const RemovalSoa::Block& blk,
+                                   std::size_t j, Candidate* best,
+                                   bool* have, ArgmaxStats* stats) const {
+  // (rank, sa) come off the block's exact tier-relative reconstruction,
+  // so the loss matches the flat layout's bit-for-bit.
+  ++stats->exact_evals;
+  Offer(blk.keys[j],
+        LossWithoutKey(blk.keys[j],
+                       blk.count_before + static_cast<std::int64_t>(j) + 1,
+                       blk.sa_local[j] + blk.sum_after),
+        best, have);
+}
+
 void LossLandscape::ScanRemovalBlocks(std::size_t bfirst, std::size_t bend,
                                       const RemovalBoundCtx* bound_ctx,
                                       const std::unordered_set<Key>* allowed,
                                       Candidate* best, bool* have,
                                       ArgmaxStats* stats) const {
-  // First-maximum-in-key-order semantics in order-independent form, as
-  // in the insertion scans: strictly larger loss wins, an equal loss
-  // only with a smaller key. (rank, sa) come off the block's exact
-  // tier-relative reconstruction, so the loss matches the flat
-  // layout's bit-for-bit.
-  auto consider = [&](Key kp, std::int64_t rank, std::int64_t sa) {
-    const long double loss = LossWithoutKey(kp, rank, sa);
-    ++stats->exact_evals;
-    if (!*have || loss > best->loss ||
-        (loss == best->loss && kp < best->key)) {
-      best->key = kp;
-      best->loss = loss;
-      *have = true;
-    }
-  };
-
   if (bound_ctx == nullptr) {
     for (std::size_t b = bfirst; b < bend; ++b) {
       const RemovalSoa::Block& blk = rem_soa_.block(b);
       for (std::size_t j = 0; j < blk.keys.size(); ++j) {
         if (allowed != nullptr && allowed->count(blk.keys[j]) == 0) continue;
-        consider(blk.keys[j],
-                 blk.count_before + static_cast<std::int64_t>(j) + 1,
-                 blk.sa_local[j] + blk.sum_after);
+        EvalRemovalKey(blk, j, best, have, stats);
       }
     }
     return;
@@ -1680,41 +1686,13 @@ void LossLandscape::ScanRemovalBlocks(std::size_t bfirst, std::size_t bend,
           ? static_cast<std::size_t>(rem_soa_.block(bend).count_before)
           : static_cast<std::size_t>(rem_soa_.size());
 
-  // Phase 1 — batched bound pass, block by block: each block is a
-  // structure-of-arrays slice (sorted keys, block-local suffix sums),
-  // and the tier-relative reconstruction adds two loop-invariant
-  // scalars, so the branch-free double kernel still auto-vectorizes.
-  // Bounds land in the globally candidate-indexed scratch
-  // argmax_bounds_[count_before + j] (disjoint across parallel chunks).
+  // Phase 1 — batched bound pass, block by block, into the globally
+  // candidate-indexed scratch argmax_bounds_[count_before + j]
+  // (disjoint across parallel chunks).
   for (std::size_t b = bfirst; b < bend; ++b) {
     const RemovalSoa::Block& blk = rem_soa_.block(b);
-    const Key* keys = blk.keys.data();
-    const std::int64_t* sal = blk.sa_local.data();
-    const std::size_t m = blk.keys.size();
-    const double rank0 = static_cast<double>(blk.count_before + 1);
-    const double sa_off = static_cast<double>(blk.sum_after);
-    double* bounds = argmax_bounds_.data() + blk.count_before;
-    const Key shift = shift_;
-    if (allowed == nullptr) {
-      const RemovalBoundCtx ctx = *bound_ctx;  // Local copy: no aliasing.
-      for (std::size_t j = 0; j < m; ++j) {
-        bounds[j] = ctx.Upper(static_cast<double>(keys[j] - shift),
-                              rank0 + static_cast<double>(j),
-                              static_cast<double>(sal[j]) + sa_off);
-      }
-      stats->bound_evals += static_cast<std::int64_t>(m);
-    } else {
-      for (std::size_t j = 0; j < m; ++j) {
-        if (allowed->count(keys[j]) == 0) {
-          bounds[j] = kNoBound;
-          continue;
-        }
-        bounds[j] = bound_ctx->Upper(static_cast<double>(keys[j] - shift),
-                                     rank0 + static_cast<double>(j),
-                                     static_cast<double>(sal[j]) + sa_off);
-        ++stats->bound_evals;
-      }
-    }
+    RemovalKeyBounds(blk, *bound_ctx, allowed,
+                     argmax_bounds_.data() + blk.count_before, stats);
   }
 
   // Phase 2 — exact seed at the highest bound (the removal analogue of
@@ -1732,9 +1710,8 @@ void LossLandscape::ScanRemovalBlocks(std::size_t bfirst, std::size_t bend,
     const std::size_t sb =
         rem_soa_.BlockOfIndex(static_cast<std::int64_t>(seed));
     const RemovalSoa::Block& blk = rem_soa_.block(sb);
-    const std::size_t j = seed - static_cast<std::size_t>(blk.count_before);
-    consider(blk.keys[j], blk.count_before + static_cast<std::int64_t>(j) + 1,
-             blk.sa_local[j] + blk.sum_after);
+    EvalRemovalKey(blk, seed - static_cast<std::size_t>(blk.count_before),
+                   best, have, stats);
     argmax_bounds_[seed] = kNoBound;  // Consumed: phase 3 skips it.
   }
 
@@ -1773,63 +1750,55 @@ void LossLandscape::ScanRemovalBlocks(std::size_t bfirst, std::size_t bend,
         ++stats->pruned_gaps;
         continue;
       }
-      consider(blk.keys[j],
-               blk.count_before + static_cast<std::int64_t>(j) + 1,
-               blk.sa_local[j] + blk.sum_after);
+      EvalRemovalKey(blk, j, best, have, stats);
     }
     if (stop) break;
   }
 }
 
-void LossLandscape::ScanRemovalBlocksTiered(
-    std::size_t bfirst, std::size_t bend, const RemovalBoundCtx& ctx,
-    const std::unordered_set<Key>* allowed, double* seed_bounds,
-    double* scratch, Candidate* best, bool* have, ArgmaxStats* stats) const {
-  auto consider = [&](Key kp, std::int64_t rank, std::int64_t sa) {
-    const long double loss = LossWithoutKey(kp, rank, sa);
-    ++stats->exact_evals;
-    if (!*have || loss > best->loss ||
-        (loss == best->loss && kp < best->key)) {
-      best->key = kp;
-      best->loss = loss;
-      *have = true;
+void LossLandscape::RemovalKeyBounds(const RemovalSoa::Block& blk,
+                                     const RemovalBoundCtx& ctx,
+                                     const std::unordered_set<Key>* allowed,
+                                     double* out, ArgmaxStats* stats) const {
+  // Each block is a structure-of-arrays slice (sorted keys, block-local
+  // suffix sums), and the tier-relative rank/suffix reconstruction adds
+  // two loop-invariant scalars, so the allowed-free branch-free double
+  // kernel auto-vectorizes.
+  const Key* keys = blk.keys.data();
+  const std::int64_t* sal = blk.sa_local.data();
+  const std::size_t m = blk.keys.size();
+  const double rank0 = static_cast<double>(blk.count_before + 1);
+  const double sa_off = static_cast<double>(blk.sum_after);
+  const Key shift = shift_;
+  if (allowed == nullptr) {
+    const RemovalBoundCtx c = ctx;  // Local copy: no aliasing.
+    for (std::size_t j = 0; j < m; ++j) {
+      out[j] = c.Upper(static_cast<double>(keys[j] - shift),
+                       rank0 + static_cast<double>(j),
+                       static_cast<double>(sal[j]) + sa_off);
     }
-  };
+    stats->bound_evals += static_cast<std::int64_t>(m);
+    return;
+  }
+  for (std::size_t j = 0; j < m; ++j) {
+    if (allowed->count(keys[j]) == 0) {
+      out[j] = -std::numeric_limits<double>::infinity();
+      continue;
+    }
+    out[j] = ctx.Upper(static_cast<double>(keys[j] - shift),
+                       rank0 + static_cast<double>(j),
+                       static_cast<double>(sal[j]) + sa_off);
+    ++stats->bound_evals;
+  }
+}
+
+std::size_t LossLandscape::SeedRemovalBlocks(
+    const RemovalBoundCtx& ctx, const std::unordered_set<Key>* allowed,
+    double* seed_bounds, Candidate* best, bool* have,
+    ArgmaxStats* stats) const {
   constexpr double kNoBound = -std::numeric_limits<double>::infinity();
   const Key shift = shift_;
-
-  // Per-key bound pass over one storage block into the block-local
-  // staging slice \p out; the allowed-free path is the batched SoA
-  // kernel (the rank/suffix reconstruction adds two loop-invariant
-  // scalars, so it still auto-vectorizes).
-  auto block_key_bounds = [&](const RemovalSoa::Block& blk, double* out) {
-    const Key* keys = blk.keys.data();
-    const std::int64_t* sal = blk.sa_local.data();
-    const std::size_t m = blk.keys.size();
-    const double rank0 = static_cast<double>(blk.count_before + 1);
-    const double sa_off = static_cast<double>(blk.sum_after);
-    if (allowed == nullptr) {
-      const RemovalBoundCtx c = ctx;
-      for (std::size_t j = 0; j < m; ++j) {
-        out[j] = c.Upper(static_cast<double>(keys[j] - shift),
-                         rank0 + static_cast<double>(j),
-                         static_cast<double>(sal[j]) + sa_off);
-      }
-      stats->bound_evals += static_cast<std::int64_t>(m);
-    } else {
-      for (std::size_t j = 0; j < m; ++j) {
-        if (allowed->count(keys[j]) == 0) {
-          out[j] = kNoBound;
-          continue;
-        }
-        out[j] = ctx.Upper(static_cast<double>(keys[j] - shift),
-                           rank0 + static_cast<double>(j),
-                           static_cast<double>(sal[j]) + sa_off);
-        ++stats->bound_evals;
-      }
-    }
-  };
-
+  const std::size_t nblocks = rem_soa_.block_count();
   // Phase 1 — one chord bound per storage block, from its exact
   // endpoint records: rank/suffix reconstruct in O(1) from the
   // directory scalars (the last key's global suffix is sum_after
@@ -1837,7 +1806,7 @@ void LossLandscape::ScanRemovalBlocksTiered(
   // ignore `allowed` — an admissible over-estimate; the per-key phase
   // enforces the restriction. The commit structure and the bound tier
   // structure are the same blocks.
-  for (std::size_t b = bfirst; b < bend; ++b) {
+  for (std::size_t b = 0; b < nblocks; ++b) {
     const RemovalSoa::Block& blk = rem_soa_.block(b);
     const std::size_t m = blk.keys.size();
     double bound;
@@ -1859,63 +1828,67 @@ void LossLandscape::ScanRemovalBlocksTiered(
     ++stats->bound_evals;
     argmax_tier_bounds_[b] = bound;
   }
-  // Chunk-local suffix max/count over the blocks (no shared sentinel:
-  // parallel chunks own disjoint [bfirst, bend) slices).
-  {
-    double run_max = kNoBound;
-    std::int64_t run_cnt = 0;
-    for (std::size_t b = bend; b > bfirst; --b) {
-      run_cnt +=
-          static_cast<std::int64_t>(rem_soa_.block(b - 1).keys.size());
-      if (argmax_tier_bounds_[b - 1] > run_max) {
-        run_max = argmax_tier_bounds_[b - 1];
-      }
-      argmax_tier_suffix_max_[b - 1] = run_max;
-      argmax_tier_suffix_cnt_[b - 1] = run_cnt;
-    }
+  // Suffix max/count over the blocks, with a sentinel at nblocks so a
+  // chunk sweep can subtract the count past its own end.
+  argmax_tier_suffix_max_[nblocks] = kNoBound;
+  argmax_tier_suffix_cnt_[nblocks] = 0;
+  for (std::size_t b = nblocks; b > 0; --b) {
+    argmax_tier_suffix_cnt_[b - 1] =
+        argmax_tier_suffix_cnt_[b] +
+        static_cast<std::int64_t>(rem_soa_.block(b - 1).keys.size());
+    argmax_tier_suffix_max_[b - 1] =
+        std::max(argmax_tier_suffix_max_[b], argmax_tier_bounds_[b - 1]);
   }
 
   // Phase 2 — seed: per-key bounds inside the highest-chord block, one
   // exact evaluation of its best candidate (strict > keeps the earliest
   // block/key on ties — scan-order independent). The staged bounds stay
   // in seed_bounds so the sweep never scores the block twice.
-  std::size_t seed_b = bend;
+  std::size_t seed_b = nblocks;
   double seed_bound = kNoBound;
-  for (std::size_t b = bfirst; b < bend; ++b) {
+  for (std::size_t b = 0; b < nblocks; ++b) {
     if (argmax_tier_bounds_[b] > seed_bound) {
       seed_bound = argmax_tier_bounds_[b];
       seed_b = b;
     }
   }
-  if (seed_b != bend) {
-    const RemovalSoa::Block& blk = rem_soa_.block(seed_b);
-    const std::size_t m = blk.keys.size();
-    block_key_bounds(blk, seed_bounds);
-    std::size_t seed_j = m;
-    double key_bound = kNoBound;
-    for (std::size_t j = 0; j < m; ++j) {
-      if (seed_bounds[j] > key_bound) {
-        key_bound = seed_bounds[j];
-        seed_j = j;
-      }
-    }
-    if (seed_j != m) {
-      consider(blk.keys[seed_j],
-               blk.count_before + static_cast<std::int64_t>(seed_j) + 1,
-               blk.sa_local[seed_j] + blk.sum_after);
-      seed_bounds[seed_j] = kNoBound;  // Consumed.
+  if (seed_b == nblocks) return seed_b;
+  const RemovalSoa::Block& blk = rem_soa_.block(seed_b);
+  const std::size_t m = blk.keys.size();
+  RemovalKeyBounds(blk, ctx, allowed, seed_bounds, stats);
+  std::size_t seed_j = m;
+  double key_bound = kNoBound;
+  for (std::size_t j = 0; j < m; ++j) {
+    if (seed_bounds[j] > key_bound) {
+      key_bound = seed_bounds[j];
+      seed_j = j;
     }
   }
+  if (seed_j != m) {
+    EvalRemovalKey(blk, seed_j, best, have, stats);
+    seed_bounds[seed_j] = kNoBound;  // Consumed.
+  }
+  return seed_b;
+}
 
+void LossLandscape::ScanRemovalBlocksTiered(
+    std::size_t bfirst, std::size_t bend, const RemovalBoundCtx& ctx,
+    const std::unordered_set<Key>* allowed, std::size_t seed_b,
+    const double* seed_bounds, double* scratch, Candidate* best, bool* have,
+    ArgmaxStats* stats) const {
+  constexpr double kNoBound = -std::numeric_limits<double>::infinity();
   // Phase 3 — key-ordered sweep: skip whole blocks via their chord
   // bound, re-score survivors per key, exit once every remaining block
-  // is below the best. Accounting mirrors the insertion tier cache:
-  // a candidate is "cached" when its block's bound dispositioned it,
-  // "invalidated" when its block survived and it was scored per key.
+  // is below the best (the suffix arrays are global, so the exit test
+  // is conservative for a chunk). Accounting mirrors the insertion tier
+  // cache: a candidate is "cached" when its block's bound dispositioned
+  // it, "invalidated" when its block survived and it was scored per key.
   for (std::size_t b = bfirst; b < bend; ++b) {
     if (*have && argmax_tier_suffix_max_[b] < best->loss) {
-      stats->pruned_gaps += argmax_tier_suffix_cnt_[b];
-      stats->cached_bounds += argmax_tier_suffix_cnt_[b];
+      const std::int64_t rest =
+          argmax_tier_suffix_cnt_[b] - argmax_tier_suffix_cnt_[bend];
+      stats->pruned_gaps += rest;
+      stats->cached_bounds += rest;
       break;
     }
     const RemovalSoa::Block& blk = rem_soa_.block(b);
@@ -1929,7 +1902,7 @@ void LossLandscape::ScanRemovalBlocksTiered(
     stats->invalidated_gaps += size;
     const double* kb = seed_bounds;
     if (b != seed_b) {
-      block_key_bounds(blk, scratch);
+      RemovalKeyBounds(blk, ctx, allowed, scratch, stats);
       kb = scratch;
     }
     for (std::size_t j = 0; j < m; ++j) {
@@ -1939,9 +1912,7 @@ void LossLandscape::ScanRemovalBlocksTiered(
         ++stats->pruned_gaps;
         continue;
       }
-      consider(blk.keys[j],
-               blk.count_before + static_cast<std::int64_t>(j) + 1,
-               blk.sa_local[j] + blk.sum_after);
+      EvalRemovalKey(blk, j, best, have, stats);
     }
   }
 }
@@ -1982,12 +1953,7 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimalRemoval(
               LossFromSums(n1, sum_k_ - x, sum_k2_ - x * x, SumRanks(n1),
                            SumRankSquares(n1), sum_xy);
           ++local.exact_evals;
-          if (!have || loss > best.loss ||
-              (loss == best.loss && kp < best.key)) {
-            best.key = kp;
-            best.loss = loss;
-            have = true;
-          }
+          Offer(kp, loss, &best, &have);
         }
         sa += x;
       }
@@ -2027,11 +1993,9 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimalRemoval(
     const std::size_t num_chunks = chunks.size();
     const std::size_t cap = static_cast<std::size_t>(rem_soa_.block_cap());
 
-    if (prune && !tiered) {
-      EnsureScratchSize(&argmax_bounds_, m, &scratch_reallocs_);
-      EnsureScratchSize(&argmax_suffix_max_, m, &scratch_reallocs_);
-      EnsureScratchSize(&argmax_suffix_cnt_, m, &scratch_reallocs_);
-    }
+    const bool parallel = pool != nullptr && pool->num_threads() > 1 &&
+                          static_cast<std::int64_t>(m) > kArgmaxChunkGaps &&
+                          num_chunks > 1;
     if (tiered) {
       EnsureScratchSize(&argmax_tier_bounds_, nblocks + 1,
                         &scratch_reallocs_);
@@ -2039,56 +2003,53 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimalRemoval(
                         &scratch_reallocs_);
       EnsureScratchSize(&argmax_tier_suffix_cnt_, nblocks + 1,
                         &scratch_reallocs_);
-      // Per-chunk staging: two block_cap-sized slices (seed block +
-      // swept block) of argmax_bounds_ per chunk, disjoint across
-      // chunks — O(sqrt(n)) doubles per chunk instead of O(n).
-      EnsureScratchSize(&argmax_bounds_, num_chunks * 2 * cap,
-                        &scratch_reallocs_);
-    }
-    const bool parallel = pool != nullptr && pool->num_threads() > 1 &&
-                          static_cast<std::int64_t>(m) > kArgmaxChunkGaps &&
-                          num_chunks > 1;
-    if (parallel) {
-      // Block-aligned candidate chunks with chunk-local pruning,
-      // reduced in chunk (= key) order with a strict > comparison:
-      // bit-identical to the serial scan for every thread count.
-      std::vector<Candidate> chunk_best(num_chunks);
-      std::vector<char> chunk_have(num_chunks, 0);
-      std::vector<ArgmaxStats> chunk_stats(num_chunks);
-      pool->ParallelFor(
-          static_cast<std::int64_t>(num_chunks),
-          [this, allowed, bctx, tiered, cap, &chunks, &chunk_best,
-           &chunk_have, &chunk_stats](std::int64_t c) {
-            const auto ci = static_cast<std::size_t>(c);
-            bool chunk_found = false;
-            if (tiered) {
-              double* stage = argmax_bounds_.data() + ci * 2 * cap;
-              ScanRemovalBlocksTiered(chunks[ci].first, chunks[ci].second,
-                                      *bctx, allowed, stage, stage + cap,
-                                      &chunk_best[ci], &chunk_found,
-                                      &chunk_stats[ci]);
-            } else {
-              ScanRemovalBlocks(chunks[ci].first, chunks[ci].second, bctx,
-                                allowed, &chunk_best[ci], &chunk_found,
-                                &chunk_stats[ci]);
-            }
-            chunk_have[ci] = chunk_found ? 1 : 0;
-          });
-      for (std::size_t ci = 0; ci < num_chunks; ++ci) {
-        local.Add(chunk_stats[ci]);
-        if (!chunk_have[ci]) continue;
-        const Candidate& cb = chunk_best[ci];
-        if (!have || cb.loss > best.loss) {
-          best = cb;
-          have = true;
-        }
+      // block_cap-sized staging slices of argmax_bounds_: the seed
+      // block's, then one swept-block slice per swept chunk, disjoint
+      // across chunks — O(sqrt(n)) doubles per chunk instead of O(n).
+      EnsureScratchSize(&argmax_bounds_, 2 * cap, &scratch_reallocs_);
+      // One O(#blocks) bound pass and one seed over every block, before
+      // any chunk runs: every chunk starts from the seed as its pruning
+      // floor and reads the seed block's staged bounds.
+      const std::size_t seed_b = SeedRemovalBlocks(
+          ctx, allowed, argmax_bounds_.data(), &best, &have, &local);
+      if (parallel && ManyLiveChunks(chunks, argmax_tier_bounds_, best, have)) {
+        // Keeps the staged seed bounds.
+        EnsureScratchSize(&argmax_bounds_, (num_chunks + 1) * cap,
+                          &scratch_reallocs_);
+        ReduceChunks(
+            pool, num_chunks,
+            [&](std::size_t ci, Candidate* b, bool* h, ArgmaxStats* s) {
+              ScanRemovalBlocksTiered(
+                  chunks[ci].first, chunks[ci].second, ctx, allowed, seed_b,
+                  argmax_bounds_.data(),
+                  argmax_bounds_.data() + (ci + 1) * cap, b, h, s);
+            },
+            &best, &have, &local);
+      } else {
+        ScanRemovalBlocksTiered(0, nblocks, ctx, allowed, seed_b,
+                                argmax_bounds_.data(),
+                                argmax_bounds_.data() + cap, &best, &have,
+                                &local);
       }
-    } else if (tiered) {
-      double* stage = argmax_bounds_.data();
-      ScanRemovalBlocksTiered(0, nblocks, ctx, allowed, stage, stage + cap,
-                              &best, &have, &local);
     } else {
-      ScanRemovalBlocks(0, nblocks, bctx, allowed, &best, &have, &local);
+      if (prune) {
+        EnsureScratchSize(&argmax_bounds_, m, &scratch_reallocs_);
+        EnsureScratchSize(&argmax_suffix_max_, m, &scratch_reallocs_);
+        EnsureScratchSize(&argmax_suffix_cnt_, m, &scratch_reallocs_);
+      }
+      // Pooled: block-aligned chunks, each pruning against its own best
+      // (the untiered pipeline bounds every candidate inside its chunk).
+      if (parallel) {
+        ReduceChunks(
+            pool, num_chunks,
+            [&](std::size_t ci, Candidate* b, bool* h, ArgmaxStats* s) {
+              ScanRemovalBlocks(chunks[ci].first, chunks[ci].second, bctx,
+                                allowed, b, h, s);
+            },
+            &best, &have, &local);
+      } else {
+        ScanRemovalBlocks(0, nblocks, bctx, allowed, &best, &have, &local);
+      }
     }
   }
   if (stats != nullptr) stats->Add(local);

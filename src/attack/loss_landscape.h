@@ -221,7 +221,8 @@ class LossLandscape {
 
   /// \brief Evaluation-count counters accumulated across FindOptimal
   /// calls. Counter values depend on the scan layout (serial vs
-  /// chunked) — only the returned Candidate is invariant. Coherence
+  /// chunked), never on the pool size; the returned Candidate is the
+  /// same for every layout. Coherence
   /// invariant of the tiered (cache) scan, asserted by the stateful
   /// property harness: per round, cached_bounds + invalidated_gaps
   /// equals the number of gaps in the scanned range.
@@ -256,10 +257,13 @@ class LossLandscape {
   /// (the RMI attack's globally occupied poisons).
   ///
   /// With \p pool non-null and running >1 worker, the gap scan fans out
-  /// in fixed-size chunks of gap ranges whose local argmaxes reduce in
-  /// chunk order with a strict > comparison — exactly the serial scan's
-  /// first-maximum-in-key-order semantics, so the selected candidate is
-  /// bit-identical for every thread count (greedy_differential_test).
+  /// in fixed chunks of gap ranges. The tiered scan seeds once over the
+  /// whole range and every chunk prunes against that seed (when at most
+  /// one chunk has a tier bound reaching the seed, it sweeps serially
+  /// instead); the chunk winners reduce in chunk order under the serial
+  /// scan's first-maximum-in-key-order rule, so the selected candidate
+  /// is bit-identical for every thread count (greedy_differential_test)
+  /// and the work counters are the same for every pool size.
   ///
   /// With \p argmax.prune (the default) each scan runs the pruned
   /// pipeline, and with \p argmax.cache runs it *tiered*: one range
@@ -495,23 +499,42 @@ class LossLandscape {
                          Candidate* best, bool* have,
                          ArgmaxStats* stats) const;
 
-  /// Tiered removal-scan worker (ArgmaxOptions::cache): one admissible
-  /// chord bound per SoA storage block (along the stored keys the
-  /// covariance is concave piecewise-linear, so the chord through a
-  /// block's exact endpoint records minorizes it), per-key re-scoring
-  /// only inside blocks whose chord bound reaches the running best —
-  /// O(sqrt(n) + survivors) bound work per round instead of O(n). The
-  /// commit structure and the bound tier structure are the same blocks,
-  /// so removal commits touch exactly the state the next round's chords
-  /// read. \p seed_bounds / \p scratch are this chunk's disjoint
-  /// block_cap-sized staging slices of argmax_bounds_. Counter contract
-  /// mirrors the insertion tier cache: cached_bounds + invalidated_gaps
-  /// == candidates in the scan.
+  /// Exact removal loss of key \p j of \p blk, folded into *best/*have.
+  void EvalRemovalKey(const RemovalSoa::Block& blk, std::size_t j,
+                      Candidate* best, bool* have, ArgmaxStats* stats) const;
+
+  /// Per-key removal bounds of one storage block into \p out (-inf for
+  /// keys outside \p allowed).
+  void RemovalKeyBounds(const RemovalSoa::Block& blk,
+                        const RemovalBoundCtx& ctx,
+                        const std::unordered_set<Key>* allowed, double* out,
+                        ArgmaxStats* stats) const;
+
+  /// Prologue of the tiered removal scan (ArgmaxOptions::cache), over
+  /// every SoA storage block: one admissible chord bound per block
+  /// (along the stored keys the covariance is concave piecewise-linear,
+  /// so the chord through a block's exact endpoint records minorizes
+  /// it) into argmax_tier_bounds_, with global suffix max/count; then
+  /// the seed — the highest-chord block's per-key bounds staged into
+  /// \p seed_bounds (block_cap wide) and its best key exact-evaluated
+  /// into *best/*have. Returns the seed block (block_count() if none).
+  std::size_t SeedRemovalBlocks(const RemovalBoundCtx& ctx,
+                                const std::unordered_set<Key>* allowed,
+                                double* seed_bounds, Candidate* best,
+                                bool* have, ArgmaxStats* stats) const;
+
+  /// Tiered removal sweep over blocks [bfirst, bend) after
+  /// SeedRemovalBlocks: blocks whose chord bound is below the running
+  /// best are skipped whole, survivors are re-scored per key into
+  /// \p scratch (this chunk's block_cap slice; the seed block reuses
+  /// \p seed_bounds) — O(sqrt(n) + survivors) bound work per round
+  /// instead of O(n). Counter contract mirrors the insertion tier
+  /// cache: cached_bounds + invalidated_gaps == candidates swept.
   void ScanRemovalBlocksTiered(std::size_t bfirst, std::size_t bend,
                                const RemovalBoundCtx& ctx,
                                const std::unordered_set<Key>* allowed,
-                               double* seed_bounds, double* scratch,
-                               Candidate* best, bool* have,
+                               std::size_t seed_b, const double* seed_bounds,
+                               double* scratch, Candidate* best, bool* have,
                                ArgmaxStats* stats) const;
 
   /// Scans argmax_ranges_[first, end) for the best candidate using the
@@ -524,22 +547,50 @@ class LossLandscape {
                      const std::unordered_set<Key>* excluded,
                      Candidate* best, bool* have, ArgmaxStats* stats) const;
 
-  /// Tiered-scan worker: sweeps the tier-list positions [first, end)
+  /// Seed of the tiered scan over tier-list positions [0, num_listed)
   /// (indices into argmax_tier_list_, whose per-tier range bounds and
-  /// suffix arrays the prologue filled) with a chunk-local running
-  /// best. Seeds from the chunk's highest tier range bound, staging
-  /// that tier's per-gap bounds into \p seed_bounds (this chunk's
-  /// disjoint slice of argmax_bounds_, at least tier_cap wide) so the
-  /// sweep never scores a gap twice. \p soa points at this chunk's
-  /// 4*tier_cap-double slice of argmax_soa_, the staging buffer of the
-  /// batched (structure-of-arrays) per-gap bound kernel; \p scratch at
-  /// a second tier_cap-double bound slice for non-seed tiers.
+  /// suffix arrays FindOptimal filled): stages the per-gap bounds of the
+  /// tier with the highest range bound into \p seed_bounds (tier_cap
+  /// wide; \p soa is a 4*tier_cap staging slice) and exact-evaluates its
+  /// best gap into *best/*have. Returns the tier's position (num_listed
+  /// if none) and the evaluated gap in *seed_gap.
+  std::size_t SeedTiersCached(std::size_t num_listed, Key lo_bound,
+                              Key hi_bound, const BoundCtx& ctx,
+                              const std::unordered_set<Key>* excluded,
+                              double* seed_bounds, double* soa,
+                              const TieredGaps::GapRec** seed_gap,
+                              Candidate* best, bool* have,
+                              ArgmaxStats* stats) const;
+
+  /// Tiered-scan sweep over tier-list positions [first, end) after
+  /// SeedTiersCached, from the running best in *best/*have. Tiers whose
+  /// range bound is below the best are skipped whole; survivors are
+  /// re-scored per gap into \p scratch (this chunk's tier_cap slice,
+  /// staged through its 4*tier_cap \p soa slice), except the seed tier,
+  /// which reuses \p seed_bounds and skips the already evaluated
+  /// \p seed_gap.
   void ScanTiersCached(std::size_t first, std::size_t end, Key lo_bound,
                        Key hi_bound, const BoundCtx& ctx,
                        const std::unordered_set<Key>* excluded,
-                       double* seed_bounds, double* scratch, double* soa,
-                       Candidate* best, bool* have,
+                       std::size_t seed_pos,
+                       const TieredGaps::GapRec* seed_gap,
+                       const double* seed_bounds, double* scratch,
+                       double* soa, Candidate* best, bool* have,
                        ArgmaxStats* stats) const;
+
+  /// Per-gap bounds of the in-range gaps of tier \p t into \p out: the
+  /// batched kernel for large fully in-range tiers with no exclusions,
+  /// the scalar per-gap path otherwise (-inf for fully excluded gaps).
+  void StageTierBounds(const TieredGaps::Tier& t, Key lo_bound, Key hi_bound,
+                       const BoundCtx& ctx,
+                       const std::unordered_set<Key>* excluded, double* soa,
+                       double* out, ArgmaxStats* stats) const;
+
+  /// Exact insertion losses of gap \p g's non-excluded endpoints, folded
+  /// into *best/*have.
+  void EvalTierGap(const TieredGaps::GapRec& g, const TieredGaps::Tier& t,
+                   const std::unordered_set<Key>* excluded, Candidate* best,
+                   bool* have, ArgmaxStats* stats) const;
 
   /// Batched per-gap bound scores of one *fully in-range* tier with no
   /// exclusions: a scalar staging pass extracts the gap endpoints into

@@ -29,8 +29,10 @@ struct AttackOptions {
 
   /// Worker threads for the greedy argmax scan over gap ranges.
   /// 0 means one per hardware thread; 1 or any negative value runs the
-  /// serial scan. The selected poison sequence is bit-identical for
-  /// every value (chunked fixed-order reduction; see
+  /// serial scan. A pool sweeps fixed chunks of the candidates, every
+  /// chunk pruning against one seed taken over the whole range, so it
+  /// does about the serial scan's work. The selected poison sequence is
+  /// bit-identical for every value (fixed-order reduction; see
   /// LossLandscape::FindOptimal).
   int num_threads = 1;
 

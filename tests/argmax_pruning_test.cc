@@ -5,7 +5,9 @@
 // a *bit-identical* Candidate (key and long-double loss) to the
 // exhaustive reference scan, at every thread count in {1, 2, 7}. The
 // harness also pins the no-per-round-allocation property of the
-// engine-owned argmax scratch via the realloc counter.
+// engine-owned argmax scratch via the realloc counter, and that a
+// pooled scan does about the serial scan's work, the same for every
+// pool size.
 
 #include <gtest/gtest.h>
 
@@ -346,6 +348,74 @@ TEST(ArgmaxPruningTest, CacheCountersAreCoherentAndAmortized) {
   // be far below the uncached per-round pre-pass. 4x is a loose floor —
   // the sparse acceptance configs measure >= 10x per round.
   EXPECT_LT(total.bound_evals * 4, uncached_total.bound_evals);
+}
+
+TEST(ArgmaxPruningTest, PooledScansPruneAgainstOneGlobalSeed) {
+  // The pooled argmax seeds once over the whole range and every chunk
+  // prunes against that floor, so a pool does about the serial scan's
+  // work, the same for every pool size. 4*10^5 keys give >= 100 chunks
+  // of 2048 candidates on both the insertion (cached) and removal
+  // (tiered) paths. On log-normal keys at most one chunk can beat the
+  // seed in these rounds, so the pool sweeps serially; on uniform keys
+  // the chunks fan out on both paths.
+  ThreadPool pool2(2);
+  ThreadPool pool7(7);
+  const LossLandscape::ArgmaxOptions pruned;  // prune + cache: the default.
+  auto expect_same_stats = [](const LossLandscape::ArgmaxStats& a,
+                              const LossLandscape::ArgmaxStats& b) {
+    EXPECT_EQ(a.exact_evals, b.exact_evals);
+    EXPECT_EQ(a.bound_evals, b.bound_evals);
+    EXPECT_EQ(a.pruned_gaps, b.pruned_gaps);
+    EXPECT_EQ(a.cached_bounds, b.cached_bounds);
+    EXPECT_EQ(a.invalidated_gaps, b.invalidated_gaps);
+  };
+  const std::int64_t n = 400000;
+  for (const Layout layout : {Layout::kLogNormal, Layout::kUniform}) {
+    SCOPED_TRACE(layout == Layout::kLogNormal ? "log-normal" : "uniform");
+    Rng rng(0x5EED);
+    const KeyDomain domain{0, 100 * n};
+    auto ks = layout == Layout::kLogNormal ? GenerateLogNormal(n, domain, &rng)
+                                           : GenerateUniform(n, domain, &rng);
+    ASSERT_TRUE(ks.ok());
+    auto ll = LossLandscape::Create(*ks);
+    ASSERT_TRUE(ll.ok());
+    // Log-normal keys cluster: about one gap per two keys.
+    ASSERT_GE(ll->gap_count(), 100 * 2048);
+
+    LossLandscape::ArgmaxStats ins1, ins2, ins7, rem1, rem2, rem7;
+    for (int round = 0; round < 8; ++round) {
+      auto a1 = ll->FindOptimal(true, nullptr, nullptr, pruned, &ins1);
+      auto a2 = ll->FindOptimal(true, nullptr, &pool2, pruned, &ins2);
+      auto a7 = ll->FindOptimal(true, nullptr, &pool7, pruned, &ins7);
+      ASSERT_TRUE(a1.ok() && a2.ok() && a7.ok());
+      EXPECT_EQ(a1->key, a2->key);
+      EXPECT_EQ(a1->loss, a2->loss);
+      EXPECT_EQ(a1->key, a7->key);
+      EXPECT_EQ(a1->loss, a7->loss);
+
+      auto r1 = ll->FindOptimalRemoval(nullptr, nullptr, pruned, &rem1);
+      auto r2 = ll->FindOptimalRemoval(nullptr, &pool2, pruned, &rem2);
+      auto r7 = ll->FindOptimalRemoval(nullptr, &pool7, pruned, &rem7);
+      ASSERT_TRUE(r1.ok() && r2.ok() && r7.ok());
+      EXPECT_EQ(r1->key, r2->key);
+      EXPECT_EQ(r1->loss, r2->loss);
+      EXPECT_EQ(r1->key, r7->key);
+      EXPECT_EQ(r1->loss, r7->loss);
+
+      // Alternate the greedy attacks' own commits.
+      if (round % 2 == 0) {
+        ASSERT_TRUE(ll->InsertKey(a1->key).ok());
+      } else {
+        ASSERT_TRUE(ll->RemoveKey(r1->key).ok());
+      }
+    }
+    // Counters depend on the chunk layout only, never on the pool size.
+    expect_same_stats(ins2, ins7);
+    expect_same_stats(rem2, rem7);
+    // And the pool does about the serial scan's exact work.
+    EXPECT_LE(ins2.exact_evals, 2 * ins1.exact_evals);
+    EXPECT_LE(rem2.exact_evals, 2 * rem1.exact_evals);
+  }
 }
 
 }  // namespace

@@ -153,12 +153,14 @@ TEST(ChaosServingTest, SeededStormsPreserveInvariants) {
     constexpr int kOpsPerWriter = 800;
     WriterOracle oracles[kWriters];
     std::atomic<bool> done{false};
+    std::atomic<bool> reader_live{false};
     std::atomic<std::int64_t> reads{0};
     std::thread reader([&] {
       std::size_t i = 0;
       while (!done.load(std::memory_order_acquire)) {
         (void)backend->Lookup(base.keys()[i % base.keys().size()]);
         reads.fetch_add(1, std::memory_order_relaxed);
+        reader_live.store(true, std::memory_order_release);
         i += 17;
       }
     });
@@ -166,6 +168,12 @@ TEST(ChaosServingTest, SeededStormsPreserveInvariants) {
     for (int w = 0; w < kWriters; ++w) {
       const Key stripe = 100 * n + 1000 + static_cast<Key>(w) * 10'000'000;
       writers.emplace_back([&, w, stripe] {
+        // The storm starts only once the reader has completed a lookup,
+        // so the availability check below cannot depend on whether the
+        // scheduler ran the reader before both writers finished.
+        while (!reader_live.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
         WriterLoop(backend.get(), seed * 31 + static_cast<std::uint64_t>(w),
                    stripe, kOpsPerWriter, opts.overlay_hard_cap, &oracles[w]);
       });
