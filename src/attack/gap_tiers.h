@@ -20,8 +20,8 @@
 // incremental argmax an O(1) per-tier admissible bound on the Theorem 1
 // loss over every candidate the tier contains (a left-tangent bound on
 // the covariance, which is piecewise linear with non-decreasing slopes
-// along the candidate axis) — the filter that replaces the O(G)
-// per-round bound pre-pass (see LossLandscape::FindOptimal).
+// along the candidate axis) — the filter that spares the pruned argmax
+// an O(G) per-round bound pass (see LossLandscape::FindOptimal).
 
 #ifndef LISPOISON_ATTACK_GAP_TIERS_H_
 #define LISPOISON_ATTACK_GAP_TIERS_H_

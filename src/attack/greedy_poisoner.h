@@ -47,17 +47,15 @@ struct GreedyPoisonResult {
 /// built once and each committed poison updates it in place (O(sqrt(G))
 /// tiered gap splice), so a round costs at most O(G) candidate
 /// evaluations (G = current gap count) with no per-round
-/// KeySet/landscape reconstruction. With AttackOptions::num_threads !=
-/// 1 the per-round argmax scan fans out over chunked gap ranges on a
-/// ThreadPool with a fixed-order reduction; with
-/// AttackOptions::prune_argmax (the default) each scan runs the
-/// branch-and-bound pruned pipeline (admissible upper bounds, early
-/// exit), and with AttackOptions::cache_argmax (the default) the
-/// pipeline runs tiered — one range bound per gap tier, per-gap
-/// re-scoring only inside surviving tiers — dropping per-round bound
-/// work to O(sqrt(G) + survivors). Selects bit-identical poison
-/// sequences to GreedyPoisonCdfReference for every thread count,
-/// pruning, and cache setting.
+/// KeySet/landscape reconstruction. With AttackOptions::prune_argmax
+/// (the default) each round runs the tiered branch-and-bound pruned
+/// scan — one admissible range bound per gap tier, per-gap re-scoring
+/// only inside surviving tiers, early exit — dropping per-round bound
+/// work to O(sqrt(G) + survivors); with AttackOptions::num_threads != 1
+/// its sweep fans out over chunks of tiers on a ThreadPool with a
+/// fixed-order reduction. Selects bit-identical poison sequences to
+/// GreedyPoisonCdfReference for every thread count and pruning
+/// setting.
 ///
 /// Fails with InvalidArgument for empty keysets or p < 1, and with
 /// ResourceExhausted if the allowed range runs out of unoccupied keys

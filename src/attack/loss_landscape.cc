@@ -459,9 +459,9 @@ std::vector<std::pair<Key, long double>> LossLandscape::Sweep(
 
 namespace {
 
-/// Gap ranges per parallel chunk. Fixed (not derived from the thread
-/// count) so the chunk boundaries — and therefore the reduction order —
-/// are identical for every pool size.
+/// Candidates (gaps or stored keys) per parallel chunk. Fixed (not
+/// derived from the thread count) so the chunk boundaries — and
+/// therefore the reduction order — are identical for every pool size.
 constexpr std::int64_t kArgmaxChunkGaps = 2048;
 
 /// Whole-chain error-margin unit for the bound arithmetic: ~450x the
@@ -481,9 +481,9 @@ inline double AbsD(double v) { return v < 0 ? -v : v; }
 }  // namespace
 
 /// Round-constant part of the admissible upper bound on the Theorem 1
-/// loss after inserting one key into the current n_ keys — the
-/// *uncached* per-round pre-pass (ArgmaxOptions::cache == false, or the
-/// fallback when the epoch context is not admissible).
+/// loss after inserting one key into the current n_ keys: per-gap point
+/// bounds (Upper) and per-tier range bounds (UpperRange) of the tiered
+/// scan.
 ///
 /// With x = kp - shift, c = count_less, S = suffix key-sum, the exact
 /// loss is  L = max(0, (VarY - Cov^2/VarX) / (n+1)^2)  where VarY is a
@@ -536,9 +536,8 @@ struct LossLandscape::BoundCtx {
   /// itself, and the final combination rounds VarY up and Cov^2/VarX
   /// down — so the returned value dominates the exact loss.
   ///
-  /// Written branch-free (guards as selects, the possibly-poisoned
-  /// division discarded by its select) so the batched SoA re-score loop
-  /// auto-vectorizes; value-identical to the PR 3/4 branched form.
+  /// Guards are selects: the possibly-poisoned division is discarded by
+  /// its select.
   double Upper(double x, double c1, double s) const {
     const double ax = AbsD(x);
     const double sx = sum_k + x;
@@ -727,9 +726,8 @@ struct LossLandscape::RemovalBoundCtx {
     return b;
   }
 
-  /// Branch-free like BoundCtx::Upper, so the per-candidate pass over
-  /// the removal SoA (x from the sorted keys, r = i+1 an induction
-  /// variable, sa from the int64 suffix array) auto-vectorizes.
+  /// Per-candidate bound over the removal SoA (x from the sorted keys,
+  /// r = i+1, sa from the int64 suffix array), in BoundCtx::Upper's form.
   double Upper(double x, double r, double sa) const {
     const double ax = AbsD(x);
     const double sx = sum_k - x;
@@ -928,8 +926,8 @@ template <typename T>
 void ScratchPoisonTail(std::vector<T>*, std::size_t) {}
 #endif
 
-/// Grow-only variant for the flat per-gap arrays whose live prefix is
-/// fully overwritten each scan: avoids the O(G) value-initialization
+/// Grow-only variant for the bound arrays whose live prefix is fully
+/// overwritten each scan: avoids the value-initialization
 /// PrepareScratch's clear+resize would pay per round. Contract: the
 /// caller owns exactly [0, needed) and writes every slot it later
 /// reads; stale entries beyond the prepared prefix are never touched.
@@ -1034,131 +1032,15 @@ void LossLandscape::PoisonArgmaxScratchForTesting() const {
   constexpr std::int64_t kCnt =
       std::numeric_limits<std::int64_t>::max() / 3;
   ScratchUnpoisonAll(&argmax_bounds_);
-  ScratchUnpoisonAll(&argmax_suffix_max_);
-  ScratchUnpoisonAll(&argmax_suffix_cnt_);
-  ScratchUnpoisonAll(&argmax_order_);
   ScratchUnpoisonAll(&argmax_tier_bounds_);
   ScratchUnpoisonAll(&argmax_tier_suffix_max_);
   ScratchUnpoisonAll(&argmax_tier_suffix_cnt_);
-  ScratchUnpoisonAll(&argmax_soa_);
   std::fill(argmax_bounds_.begin(), argmax_bounds_.end(), dnan);
-  std::fill(argmax_suffix_max_.begin(), argmax_suffix_max_.end(), dnan);
-  std::fill(argmax_suffix_cnt_.begin(), argmax_suffix_cnt_.end(), kCnt);
-  std::fill(argmax_order_.begin(), argmax_order_.end(),
-            std::numeric_limits<std::size_t>::max());
   std::fill(argmax_tier_bounds_.begin(), argmax_tier_bounds_.end(), dnan);
   std::fill(argmax_tier_suffix_max_.begin(), argmax_tier_suffix_max_.end(),
             dnan);
   std::fill(argmax_tier_suffix_cnt_.begin(), argmax_tier_suffix_cnt_.end(),
             kCnt);
-  std::fill(argmax_soa_.begin(), argmax_soa_.end(), dnan);
-}
-
-void LossLandscape::ScanGapRanges(std::size_t first, std::size_t end,
-                                  std::int64_t top_k,
-                                  const BoundCtx* bound_ctx,
-                                  const std::unordered_set<Key>* excluded,
-                                  Candidate* best, bool* have,
-                                  ArgmaxStats* stats) const {
-  auto consider = [&](Key kp, Rank count_less, Int128 suffix_sum) {
-    if (excluded != nullptr && excluded->count(kp) != 0) return;
-    ++stats->exact_evals;
-    Offer(kp, LossWithInsertion(kp, count_less, suffix_sum), best, have);
-  };
-  auto eval_gap = [&](std::size_t i) {
-    const GapRange& g = argmax_ranges_[i];
-    consider(g.lo, g.count_less, g.suffix_sum);
-    if (g.hi != g.lo) consider(g.hi, g.count_less, g.suffix_sum);
-  };
-
-  if (bound_ctx == nullptr) {
-    for (std::size_t i = first; i < end; ++i) eval_gap(i);
-    return;
-  }
-
-  // Phase 1 — pre-pass: score every gap's non-excluded endpoints against
-  // the admissible bound; -inf marks gaps with no admissible candidate.
-  constexpr double kNoBound = -std::numeric_limits<double>::infinity();
-  // Candidate keys are shifted in exact int64 then converted with one
-  // cheap cvt instruction (no 128-bit library call). Safe: FindOptimal
-  // falls back to the exhaustive scan when the domain span could
-  // overflow the subtraction.
-  for (std::size_t i = first; i < end; ++i) {
-    const GapRange& g = argmax_ranges_[i];
-    const double c1 = static_cast<double>(g.count_less + 1);
-    const double s = static_cast<double>(g.suffix_sum);
-    double bnd = kNoBound;
-    if (excluded == nullptr || excluded->count(g.lo) == 0) {
-      const double x = static_cast<double>(g.lo - shift_);
-      bnd = bound_ctx->Upper(x, c1, s);
-      ++stats->bound_evals;
-    }
-    if (g.hi != g.lo &&
-        (excluded == nullptr || excluded->count(g.hi) == 0)) {
-      const double x = static_cast<double>(g.hi - shift_);
-      const double b2 = bound_ctx->Upper(x, c1, s);
-      ++stats->bound_evals;
-      if (b2 > bnd) bnd = b2;
-    }
-    argmax_bounds_[i] = bnd;
-  }
-
-  // Phase 2 — exact re-check of the top-K bounds to seed the running
-  // best. nth_element's partition is unstable, but the final Candidate
-  // is invariant: every gap that could still win is re-checked in phase
-  // 3 regardless of which ties landed in the top-K.
-  const std::size_t len = end - first;
-  const std::size_t k =
-      std::min(len, static_cast<std::size_t>(std::max<std::int64_t>(
-                        1, top_k)));
-  for (std::size_t i = first; i < end; ++i) argmax_order_[i] = i;
-  std::nth_element(argmax_order_.begin() + static_cast<std::ptrdiff_t>(first),
-                   argmax_order_.begin() +
-                       static_cast<std::ptrdiff_t>(first + k),
-                   argmax_order_.begin() + static_cast<std::ptrdiff_t>(end),
-                   [this](std::size_t a, std::size_t b) {
-                     return argmax_bounds_[a] > argmax_bounds_[b];
-                   });
-  for (std::size_t j = first; j < first + k; ++j) {
-    const std::size_t i = argmax_order_[j];
-    if (argmax_bounds_[i] == kNoBound) continue;
-    eval_gap(i);
-    argmax_bounds_[i] = kNoBound;  // Consumed: phase 3 skips it.
-  }
-
-  // Suffix max/count over the *unconsumed* bounds enable the
-  // branch-and-bound early exit and keep the pruned-gap counter exact.
-  {
-    double run_max = kNoBound;
-    std::int64_t run_cnt = 0;
-    for (std::size_t i = end; i > first; --i) {
-      const double b = argmax_bounds_[i - 1];
-      if (b != kNoBound) {
-        ++run_cnt;
-        if (b > run_max) run_max = b;
-      }
-      argmax_suffix_max_[i - 1] = run_max;
-      argmax_suffix_cnt_[i - 1] = run_cnt;
-    }
-  }
-
-  // Phase 3 — key-ordered sweep: a gap survives only while its bound can
-  // still reach the running best (>= keeps exact ties alive for the
-  // smaller-key rule); once every remaining bound is strictly below the
-  // best, the scan exits.
-  for (std::size_t i = first; i < end; ++i) {
-    if (*have && argmax_suffix_max_[i] < best->loss) {
-      stats->pruned_gaps += argmax_suffix_cnt_[i];
-      break;
-    }
-    const double b = argmax_bounds_[i];
-    if (b == kNoBound) continue;
-    if (*have && b < best->loss) {
-      ++stats->pruned_gaps;
-      continue;
-    }
-    eval_gap(i);
-  }
 }
 
 std::int64_t LossLandscape::TierInRangeCount(const TieredGaps::Tier& t,
@@ -1173,62 +1055,19 @@ std::int64_t LossLandscape::TierInRangeCount(const TieredGaps::Tier& t,
   return count;
 }
 
-void LossLandscape::BatchTierBounds(const TieredGaps::Tier& t,
-                                    const BoundCtx& ctx, double* soa,
-                                    double* out, ArgmaxStats* stats) const {
-  // Staging pass: unpack the tier's gap records (AoS, with Int128
-  // bookkeeping) into flat double arrays. The exact counters match the
-  // scalar path: one score per endpoint, single-key gaps score once.
-  const std::size_t m = t.gaps.size();
-  double* x_lo = soa;
-  double* x_hi = soa + m;
-  double* c1 = soa + 2 * m;
-  double* s = soa + 3 * m;
-  std::int64_t evals = 0;
-  for (std::size_t gi = 0; gi < m; ++gi) {
-    const TieredGaps::GapRec& g = t.gaps[gi];
-    x_lo[gi] = static_cast<double>(g.lo - shift_);
-    x_hi[gi] = static_cast<double>(g.hi - shift_);
-    c1[gi] = static_cast<double>(g.cnt + t.delta_cnt + 1);
-    s[gi] = static_cast<double>(sum_k_ - (g.sum + t.delta_sum));
-    evals += g.hi != g.lo ? 2 : 1;
-  }
-  stats->bound_evals += evals;
-  // Kernel pass: pure double arithmetic over the SoA slices, branch
-  // free (BoundCtx::Upper is written as selects), so the loop
-  // auto-vectorizes. max(lo, hi) equals the scalar two-endpoint fold —
-  // for single-key gaps both operands are the same score.
-  const BoundCtx c = ctx;  // Local copy: no aliasing against the slices.
-  for (std::size_t gi = 0; gi < m; ++gi) {
-    const double b1 = c.Upper(x_lo[gi], c1[gi], s[gi]);
-    const double b2 = c.Upper(x_hi[gi], c1[gi], s[gi]);
-    out[gi] = b2 > b1 ? b2 : b1;
-  }
-}
-
 void LossLandscape::StageTierBounds(const TieredGaps::Tier& t, Key lo_bound,
                                     Key hi_bound, const BoundCtx& ctx,
                                     const std::unordered_set<Key>* excluded,
-                                    double* soa, double* out,
-                                    ArgmaxStats* stats) const {
-  // A tier strictly inside the scan range with no exclusions takes the
-  // batched SoA kernel; partially clipped edge tiers (at most two per
-  // scan), excluded-key scans, and small tiers (measured: the staging
-  // pass costs more than the vector lanes recover below ~tens of gaps,
-  // the RMI per-model regime) keep the scalar per-gap path.
-  constexpr std::size_t kBatchMinTierGaps = 64;
-  if (excluded == nullptr && t.gaps.size() >= kBatchMinTierGaps &&
-      t.lo >= lo_bound && t.hi <= hi_bound) {
-    BatchTierBounds(t, ctx, soa, out, stats);
-    return;
-  }
-  // Scalar per-gap point bound over the non-excluded endpoints of the
-  // in-range gaps (the same pipeline the uncached pre-pass runs,
-  // against the same per-round context); -inf when no admissible
-  // candidate remains. FindOptimal's scan ranges never clip a gap
-  // partially (range bounds are min/max +- 1 or the domain edges, and
-  // gaps are bounded by occupied keys), so membership is a whole-gap
-  // test.
+                                    double* out, ArgmaxStats* stats) const {
+  // Per-gap point bound over the non-excluded endpoints of the in-range
+  // gaps; -inf when no admissible candidate remains. FindOptimal's scan
+  // ranges never clip a gap partially (range bounds are min/max +- 1 or
+  // the domain edges, and gaps are bounded by occupied keys), so
+  // membership is a whole-gap test. The context and shift are copied to
+  // locals so the stores to out cannot alias them.
+  const BoundCtx c = ctx;
+  const Key shift = shift_;
+  std::int64_t evals = 0;
   for (std::size_t gi = 0; gi < t.gaps.size(); ++gi) {
     const TieredGaps::GapRec& g = t.gaps[gi];
     if (g.hi < lo_bound || g.lo > hi_bound) continue;
@@ -1236,17 +1075,18 @@ void LossLandscape::StageTierBounds(const TieredGaps::Tier& t, Key lo_bound,
     const double s = static_cast<double>(sum_k_ - (g.sum + t.delta_sum));
     double bnd = -std::numeric_limits<double>::infinity();
     if (excluded == nullptr || excluded->count(g.lo) == 0) {
-      bnd = ctx.Upper(static_cast<double>(g.lo - shift_), c1, s);
-      ++stats->bound_evals;
+      bnd = c.Upper(static_cast<double>(g.lo - shift), c1, s);
+      ++evals;
     }
     if (g.hi != g.lo &&
         (excluded == nullptr || excluded->count(g.hi) == 0)) {
-      const double b2 = ctx.Upper(static_cast<double>(g.hi - shift_), c1, s);
-      ++stats->bound_evals;
+      const double b2 = c.Upper(static_cast<double>(g.hi - shift), c1, s);
+      ++evals;
       if (b2 > bnd) bnd = b2;
     }
     out[gi] = bnd;
   }
+  stats->bound_evals += evals;
 }
 
 void LossLandscape::EvalTierGap(const TieredGaps::GapRec& g,
@@ -1268,12 +1108,12 @@ void LossLandscape::EvalTierGap(const TieredGaps::GapRec& g,
 std::size_t LossLandscape::SeedTiersCached(
     std::size_t num_listed, Key lo_bound, Key hi_bound, const BoundCtx& ctx,
     const std::unordered_set<Key>* excluded, double* seed_bounds,
-    double* soa, const TieredGaps::GapRec** seed_gap, Candidate* best,
-    bool* have, ArgmaxStats* stats) const {
-  // The tiered analogue of the uncached top-K re-check: over the whole
-  // scanned range, stage the per-gap bounds of the tier with the highest
-  // range bound and exact-evaluate its best gap. Strict > keeps the
-  // earliest tier/gap on ties, a pure function of the structure.
+    const TieredGaps::GapRec** seed_gap, Candidate* best, bool* have,
+    ArgmaxStats* stats) const {
+  // Over the whole scanned range, stage the per-gap bounds of the tier
+  // with the highest range bound and exact-evaluate its best gap. Strict
+  // > keeps the earliest tier/gap on ties, a pure function of the
+  // structure.
   std::size_t seed_pos = num_listed;
   double seed_box = -std::numeric_limits<double>::infinity();
   for (std::size_t pos = 0; pos < num_listed; ++pos) {
@@ -1288,8 +1128,7 @@ std::size_t LossLandscape::SeedTiersCached(
   *seed_gap = nullptr;
   if (seed_pos == num_listed) return seed_pos;
   const TieredGaps::Tier& t = gaps_.tiers()[argmax_tier_list_[seed_pos]];
-  StageTierBounds(t, lo_bound, hi_bound, ctx, excluded, soa, seed_bounds,
-                  stats);
+  StageTierBounds(t, lo_bound, hi_bound, ctx, excluded, seed_bounds, stats);
   double gap_best = -std::numeric_limits<double>::infinity();
   for (std::size_t gi = 0; gi < t.gaps.size(); ++gi) {
     const TieredGaps::GapRec& g = t.gaps[gi];
@@ -1309,8 +1148,8 @@ void LossLandscape::ScanTiersCached(
     std::size_t first, std::size_t end, Key lo_bound, Key hi_bound,
     const BoundCtx& ctx, const std::unordered_set<Key>* excluded,
     std::size_t seed_pos, const TieredGaps::GapRec* seed_gap,
-    const double* seed_bounds, double* scratch, double* soa, Candidate* best,
-    bool* have, ArgmaxStats* stats) const {
+    const double* seed_bounds, double* scratch, Candidate* best, bool* have,
+    ArgmaxStats* stats) const {
   const std::vector<TieredGaps::Tier>& tiers = gaps_.tiers();
   constexpr double kNoBound = -std::numeric_limits<double>::infinity();
   // Key-ordered sweep: skip whole tiers via their box bound, re-score
@@ -1343,8 +1182,7 @@ void LossLandscape::ScanTiersCached(
     // surviving tier is scored into this chunk's scratch slice.
     const double* staged = seed_bounds;
     if (pos != seed_pos) {
-      StageTierBounds(t, lo_bound, hi_bound, ctx, excluded, soa, scratch,
-                      stats);
+      StageTierBounds(t, lo_bound, hi_bound, ctx, excluded, scratch, stats);
       staged = scratch;
     }
     for (std::size_t gi = 0; gi < t.gaps.size(); ++gi) {
@@ -1377,7 +1215,7 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimal(
 // test, under which wide domains could overflow the "exact"
 // aggregates and silently void the bit-identity the differential
 // suites pin (the exhaustive fallback keeps prune-vs-exhaustive
-// trivially identical there). It also keeps the pre-passes' int64
+// trivially identical there). It also keeps the bound scans' int64
 // candidate shifts — and the removal SoA's int64 suffix sums, which
 // stay below n*S — safe (n1*S < 2^63 implies S < 2^62). The removal
 // side's n1 = n-1 aggregates are strictly smaller, so one guard covers
@@ -1399,28 +1237,20 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimal(
     ThreadPool* pool, const ArgmaxOptions& argmax, ArgmaxStats* stats) const {
   ArgmaxStats local;
   local.rounds = 1;
-
-  const bool domain_ok = PruneDomainOk();
-  bool prune = argmax.prune;
-
   Candidate best;
   bool have = false;
 
-  // -------------------------------------------------------------------
-  // Tiered incremental path: one box bound per tier from the per-tier
-  // aggregates the splices maintain, per-gap re-scoring only for the
-  // tiers whose box survives — O(sqrt(G) + survivors) bound work per
-  // round.
-  // -------------------------------------------------------------------
   BoundCtx ctx;
-  bool use_cache = prune && argmax.cache && domain_ok;
-  if (use_cache) {
+  if (argmax.prune && PruneDomainOk()) {
     ctx = BoundCtx::Make(n_, sum_k_, sum_k2_, sum_kr_);
-    // Context not provably admissible: fall back to the per-round
-    // pre-pass below (which may itself fall back to exhaustive).
-    if (!ctx.usable) use_cache = false;
   }
-  if (use_cache) {
+  if (ctx.usable) {
+    // -----------------------------------------------------------------
+    // Tiered pruned scan: one range bound per tier from the per-tier
+    // aggregates the splices maintain, per-gap re-scoring only for the
+    // tiers whose range bound survives — O(sqrt(G) + survivors) bound
+    // work per round.
+    // -----------------------------------------------------------------
     const Key lo_bound = interior_only ? min_key_ + 1 : domain_.lo;
     const Key hi_bound = interior_only ? max_key_ - 1 : domain_.hi;
     const std::vector<TieredGaps::Tier>& tiers = gaps_.tiers();
@@ -1496,32 +1326,26 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimal(
       if (start < num_listed) chunks.emplace_back(start, num_listed);
     }
     // Disjoint tier_cap-wide slices of argmax_bounds_ (the seed tier's
-    // staged bounds, then one batch-scratch slice per swept chunk) and a
-    // 4 x tier_cap SoA slice per swept chunk for the batched kernel's
-    // staging arrays, so workers never race.
+    // staged bounds, then one scratch slice per swept chunk), so workers
+    // never race.
     const std::size_t stride = static_cast<std::size_t>(gaps_.tier_cap());
-    auto ensure_slices = [&](std::size_t slices) {
-      EnsureScratchSize(&argmax_bounds_, (slices + 1) * stride,
-                        &scratch_reallocs_);
-      EnsureScratchSize(&argmax_soa_, slices * 4 * stride,
-                        &scratch_reallocs_);
-    };
-    ensure_slices(1);
+    EnsureScratchSize(&argmax_bounds_, 2 * stride, &scratch_reallocs_);
     // One seed over the whole range, before any chunk runs: every chunk
     // starts from it as its pruning floor and reads its staged bounds.
     const TieredGaps::GapRec* seed_gap = nullptr;
     const std::size_t seed_pos = SeedTiersCached(
         num_listed, lo_bound, hi_bound, ctx, excluded, argmax_bounds_.data(),
-        argmax_soa_.data(), &seed_gap, &best, &have, &local);
+        &seed_gap, &best, &have, &local);
     auto sweep = [&](std::size_t first, std::size_t end, std::size_t slice,
                      Candidate* b, bool* h, ArgmaxStats* s) {
       ScanTiersCached(first, end, lo_bound, hi_bound, ctx, excluded, seed_pos,
                       seed_gap, argmax_bounds_.data(),
-                      argmax_bounds_.data() + (slice + 1) * stride,
-                      argmax_soa_.data() + slice * 4 * stride, b, h, s);
+                      argmax_bounds_.data() + (slice + 1) * stride, b, h, s);
     };
     if (parallel && ManyLiveChunks(chunks, argmax_tier_bounds_, best, have)) {
-      ensure_slices(chunks.size());  // Keeps the staged seed bounds.
+      // Keeps the staged seed bounds.
+      EnsureScratchSize(&argmax_bounds_, (chunks.size() + 1) * stride,
+                        &scratch_reallocs_);
       ReduceChunks(
           pool, chunks.size(),
           [&](std::size_t ci, Candidate* b, bool* h, ArgmaxStats* s) {
@@ -1532,77 +1356,27 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimal(
       sweep(0, num_listed, 0, &best, &have, &local);
     }
   } else {
-    // -------------------------------------------------------------------
-    // Uncached paths: per-round full pre-pass (prune) or exhaustive scan.
-    // -------------------------------------------------------------------
-    if (prune) {
-      ctx = BoundCtx::Make(n_, sum_k_, sum_k2_, sum_kr_);
-      if (!domain_ok) ctx.usable = false;
-      if (!ctx.usable) {
-        // Bound arithmetic not provably admissible on these aggregates:
-        // fall back to the exhaustive scan so the result stays exact.
-        prune = false;
-        local.fallback_rounds = 1;
-      }
-    }
-    const BoundCtx* bound_ctx = prune ? &ctx : nullptr;
-
-    // The materialized paths pay one O(G) traversal into the engine-owned
-    // scratch (no per-round allocation once the capacity plateaus); the
-    // plain serial exhaustive scan keeps the original zero-materialization
-    // loop.
-    const bool parallel =
-        pool != nullptr && pool->num_threads() > 1 &&
-        gaps_.size() > kArgmaxChunkGaps;
-    if (parallel || prune) {
-      auto& ranges = PrepareScratch(&argmax_ranges_,
-                                    static_cast<std::size_t>(gaps_.size()));
-      ForEachGap(interior_only, [this, &ranges](Key lo, Key hi, Rank count_less,
-                                                Int128 prefix_sum) {
-        ranges.push_back(GapRange{lo, hi, count_less, sum_k_ - prefix_sum});
-      });
-      const std::size_t m = ranges.size();
-      if (prune) {
-        EnsureScratchSize(&argmax_bounds_, m, &scratch_reallocs_);
-        EnsureScratchSize(&argmax_suffix_max_, m, &scratch_reallocs_);
-        EnsureScratchSize(&argmax_suffix_cnt_, m, &scratch_reallocs_);
-        EnsureScratchSize(&argmax_order_, m, &scratch_reallocs_);
-      }
-      if (parallel) {
-        // Fixed-size chunks, each running the whole pruned pipeline
-        // (pre-pass, top-K seed, sweep) against its own best. A global
-        // floor would need every chunk's pre-pass done before any sweep,
-        // so a second pass over all G bounds; this path is off by
-        // default (ArgmaxOptions::cache) and keeps chunk-local pruning.
-        const std::size_t chunk = static_cast<std::size_t>(kArgmaxChunkGaps);
-        ReduceChunks(
-            pool, (m + chunk - 1) / chunk,
-            [&](std::size_t ci, Candidate* b, bool* h, ArgmaxStats* s) {
-              ScanGapRanges(ci * chunk, std::min(m, (ci + 1) * chunk),
-                            argmax.top_k, bound_ctx, excluded, b, h, s);
-            },
-            &best, &have, &local);
-      } else {
-        ScanGapRanges(0, m, argmax.top_k, bound_ctx, excluded, &best, &have,
-                      &local);
-      }
-    } else {
-      ForEachGap(interior_only,
-                 [this, excluded, &best, &have, &local](
-                     Key lo, Key hi, Rank count_less, Int128 prefix_sum) {
-                   const Int128 suffix = sum_k_ - prefix_sum;
-                   auto consider = [&](Key kp) {
-                     if (excluded != nullptr && excluded->count(kp) != 0) {
-                       return;
-                     }
-                     ++local.exact_evals;
-                     Offer(kp, LossWithInsertion(kp, count_less, suffix),
-                           &best, &have);
-                   };
-                   consider(lo);
-                   if (hi != lo) consider(hi);
-                 });
-    }
+    // -----------------------------------------------------------------
+    // Exhaustive reference scan: serial, key-ordered, every endpoint
+    // exact. Also the fallback when pruning was requested but the bound
+    // context is not provably admissible, so the result stays exact.
+    // -----------------------------------------------------------------
+    if (argmax.prune) local.fallback_rounds = 1;
+    ForEachGap(interior_only,
+               [this, excluded, &best, &have, &local](
+                   Key lo, Key hi, Rank count_less, Int128 prefix_sum) {
+                 const Int128 suffix = sum_k_ - prefix_sum;
+                 auto consider = [&](Key kp) {
+                   if (excluded != nullptr && excluded->count(kp) != 0) {
+                     return;
+                   }
+                   ++local.exact_evals;
+                   Offer(kp, LossWithInsertion(kp, count_less, suffix), &best,
+                         &have);
+                 };
+                 consider(lo);
+                 if (hi != lo) consider(hi);
+               });
   }
   if (stats != nullptr) stats->Add(local);
   if (!have) {
@@ -1662,97 +1436,15 @@ void LossLandscape::EvalRemovalKey(const RemovalSoa::Block& blk,
         best, have);
 }
 
-void LossLandscape::ScanRemovalBlocks(std::size_t bfirst, std::size_t bend,
-                                      const RemovalBoundCtx* bound_ctx,
-                                      const std::unordered_set<Key>* allowed,
+void LossLandscape::ScanRemovalBlocks(const std::unordered_set<Key>* allowed,
                                       Candidate* best, bool* have,
                                       ArgmaxStats* stats) const {
-  if (bound_ctx == nullptr) {
-    for (std::size_t b = bfirst; b < bend; ++b) {
-      const RemovalSoa::Block& blk = rem_soa_.block(b);
-      for (std::size_t j = 0; j < blk.keys.size(); ++j) {
-        if (allowed != nullptr && allowed->count(blk.keys[j]) == 0) continue;
-        EvalRemovalKey(blk, j, best, have, stats);
-      }
-    }
-    return;
-  }
-
-  constexpr double kNoBound = -std::numeric_limits<double>::infinity();
-  const std::size_t first =
-      static_cast<std::size_t>(rem_soa_.block(bfirst).count_before);
-  const std::size_t end =
-      bend < rem_soa_.block_count()
-          ? static_cast<std::size_t>(rem_soa_.block(bend).count_before)
-          : static_cast<std::size_t>(rem_soa_.size());
-
-  // Phase 1 — batched bound pass, block by block, into the globally
-  // candidate-indexed scratch argmax_bounds_[count_before + j]
-  // (disjoint across parallel chunks).
-  for (std::size_t b = bfirst; b < bend; ++b) {
+  for (std::size_t b = 0; b < rem_soa_.block_count(); ++b) {
     const RemovalSoa::Block& blk = rem_soa_.block(b);
-    RemovalKeyBounds(blk, *bound_ctx, allowed,
-                     argmax_bounds_.data() + blk.count_before, stats);
-  }
-
-  // Phase 2 — exact seed at the highest bound (the removal analogue of
-  // the tiered scan's per-tier seed; strict > keeps the smallest key on
-  // ties, so the seed is scan-order independent).
-  std::size_t seed = end;
-  double seed_bound = kNoBound;
-  for (std::size_t i = first; i < end; ++i) {
-    if (argmax_bounds_[i] > seed_bound) {
-      seed_bound = argmax_bounds_[i];
-      seed = i;
-    }
-  }
-  if (seed != end) {
-    const std::size_t sb =
-        rem_soa_.BlockOfIndex(static_cast<std::int64_t>(seed));
-    const RemovalSoa::Block& blk = rem_soa_.block(sb);
-    EvalRemovalKey(blk, seed - static_cast<std::size_t>(blk.count_before),
-                   best, have, stats);
-    argmax_bounds_[seed] = kNoBound;  // Consumed: phase 3 skips it.
-  }
-
-  // Suffix max/count over the unconsumed bounds for the early exit and
-  // the exact pruned-candidate accounting.
-  {
-    double run_max = kNoBound;
-    std::int64_t run_cnt = 0;
-    for (std::size_t i = end; i > first; --i) {
-      const double b = argmax_bounds_[i - 1];
-      if (b != kNoBound) {
-        ++run_cnt;
-        if (b > run_max) run_max = b;
-      }
-      argmax_suffix_max_[i - 1] = run_max;
-      argmax_suffix_cnt_[i - 1] = run_cnt;
-    }
-  }
-
-  // Phase 3 — key-ordered sweep with branch-and-bound pruning, walked
-  // blockwise so the exact reconstruction reads straight off the block
-  // records (>= keeps exact ties alive for the smaller-key rule).
-  for (std::size_t b = bfirst; b < bend; ++b) {
-    const RemovalSoa::Block& blk = rem_soa_.block(b);
-    bool stop = false;
     for (std::size_t j = 0; j < blk.keys.size(); ++j) {
-      const std::size_t i = static_cast<std::size_t>(blk.count_before) + j;
-      if (*have && argmax_suffix_max_[i] < best->loss) {
-        stats->pruned_gaps += argmax_suffix_cnt_[i];
-        stop = true;
-        break;
-      }
-      const double kb = argmax_bounds_[i];
-      if (kb == kNoBound) continue;
-      if (*have && kb < best->loss) {
-        ++stats->pruned_gaps;
-        continue;
-      }
+      if (allowed != nullptr && allowed->count(blk.keys[j]) == 0) continue;
       EvalRemovalKey(blk, j, best, have, stats);
     }
-    if (stop) break;
   }
 }
 
@@ -1760,36 +1452,28 @@ void LossLandscape::RemovalKeyBounds(const RemovalSoa::Block& blk,
                                      const RemovalBoundCtx& ctx,
                                      const std::unordered_set<Key>* allowed,
                                      double* out, ArgmaxStats* stats) const {
-  // Each block is a structure-of-arrays slice (sorted keys, block-local
-  // suffix sums), and the tier-relative rank/suffix reconstruction adds
-  // two loop-invariant scalars, so the allowed-free branch-free double
-  // kernel auto-vectorizes.
+  // The tier-relative rank/suffix reconstruction adds two loop-invariant
+  // scalars to the block's sorted keys and block-local suffix sums.
   const Key* keys = blk.keys.data();
   const std::int64_t* sal = blk.sa_local.data();
   const std::size_t m = blk.keys.size();
   const double rank0 = static_cast<double>(blk.count_before + 1);
   const double sa_off = static_cast<double>(blk.sum_after);
+  // Locals, so the stores to out cannot alias the context or shift.
+  const RemovalBoundCtx c = ctx;
   const Key shift = shift_;
-  if (allowed == nullptr) {
-    const RemovalBoundCtx c = ctx;  // Local copy: no aliasing.
-    for (std::size_t j = 0; j < m; ++j) {
-      out[j] = c.Upper(static_cast<double>(keys[j] - shift),
-                       rank0 + static_cast<double>(j),
-                       static_cast<double>(sal[j]) + sa_off);
-    }
-    stats->bound_evals += static_cast<std::int64_t>(m);
-    return;
-  }
+  std::int64_t evals = 0;
   for (std::size_t j = 0; j < m; ++j) {
-    if (allowed->count(keys[j]) == 0) {
+    if (allowed != nullptr && allowed->count(keys[j]) == 0) {
       out[j] = -std::numeric_limits<double>::infinity();
       continue;
     }
-    out[j] = ctx.Upper(static_cast<double>(keys[j] - shift),
-                       rank0 + static_cast<double>(j),
-                       static_cast<double>(sal[j]) + sa_off);
-    ++stats->bound_evals;
+    out[j] = c.Upper(static_cast<double>(keys[j] - shift),
+                     rank0 + static_cast<double>(j),
+                     static_cast<double>(sal[j]) + sa_off);
+    ++evals;
   }
+  stats->bound_evals += evals;
 }
 
 std::size_t LossLandscape::SeedRemovalBlocks(
@@ -1932,12 +1616,18 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimalRemoval(
   Candidate best;
   bool have = false;
   const std::size_t nblocks = rem_soa_.block_count();
+  RemovalBoundCtx ctx;
+  if (argmax.prune && rem_soa_.with_sa()) {
+    ctx = RemovalBoundCtx::Make(n_, sum_k_, sum_k2_, sum_kr_);
+  }
+  // Pruning requested but the bound context is not provably admissible:
+  // the exhaustive scans below keep the result exact.
+  if (argmax.prune && !ctx.usable) local.fallback_rounds = 1;
 
   if (!rem_soa_.with_sa()) {
-    // Wide-domain fallback: exact Int128 reverse block walk
-    // accumulating the suffix key-sums on the fly (the
-    // order-independent tie rule makes the scan direction immaterial).
-    if (argmax.prune) local.fallback_rounds = 1;
+    // Wide-domain scan: exact Int128 reverse block walk accumulating the
+    // suffix key-sums on the fly (the order-independent tie rule makes
+    // the scan direction immaterial).
     Int128 sa = 0;
     const std::int64_t n1 = n_ - 1;
     for (std::size_t b = nblocks; b > 0; --b) {
@@ -1958,20 +1648,9 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimalRemoval(
         sa += x;
       }
     }
+  } else if (!ctx.usable) {
+    ScanRemovalBlocks(allowed, &best, &have, &local);
   } else {
-    RemovalBoundCtx ctx;
-    bool prune = argmax.prune;
-    if (prune) {
-      ctx = RemovalBoundCtx::Make(n_, sum_k_, sum_k2_, sum_kr_);
-      if (!ctx.usable) {
-        prune = false;
-        local.fallback_rounds = 1;
-      }
-    }
-    const RemovalBoundCtx* bctx = prune ? &ctx : nullptr;
-    const bool tiered = prune && argmax.cache;
-    const std::size_t m = static_cast<std::size_t>(rem_soa_.size());
-
     // Chunking: consecutive storage blocks grouped to at least
     // kArgmaxChunkGaps candidates each — a pure function of the block
     // structure, so the chunk list (and with it every counter and the
@@ -1994,62 +1673,41 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimalRemoval(
     const std::size_t cap = static_cast<std::size_t>(rem_soa_.block_cap());
 
     const bool parallel = pool != nullptr && pool->num_threads() > 1 &&
-                          static_cast<std::int64_t>(m) > kArgmaxChunkGaps &&
+                          rem_soa_.size() > kArgmaxChunkGaps &&
                           num_chunks > 1;
-    if (tiered) {
-      EnsureScratchSize(&argmax_tier_bounds_, nblocks + 1,
+    EnsureScratchSize(&argmax_tier_bounds_, nblocks + 1,
+                      &scratch_reallocs_);
+    EnsureScratchSize(&argmax_tier_suffix_max_, nblocks + 1,
+                      &scratch_reallocs_);
+    EnsureScratchSize(&argmax_tier_suffix_cnt_, nblocks + 1,
+                      &scratch_reallocs_);
+    // block_cap-sized staging slices of argmax_bounds_: the seed
+    // block's, then one swept-block slice per swept chunk, disjoint
+    // across chunks — O(sqrt(n)) doubles per chunk instead of O(n).
+    EnsureScratchSize(&argmax_bounds_, 2 * cap, &scratch_reallocs_);
+    // One O(#blocks) bound pass and one seed over every block, before
+    // any chunk runs: every chunk starts from the seed as its pruning
+    // floor and reads the seed block's staged bounds.
+    const std::size_t seed_b = SeedRemovalBlocks(
+        ctx, allowed, argmax_bounds_.data(), &best, &have, &local);
+    if (parallel && ManyLiveChunks(chunks, argmax_tier_bounds_, best, have)) {
+      // Keeps the staged seed bounds.
+      EnsureScratchSize(&argmax_bounds_, (num_chunks + 1) * cap,
                         &scratch_reallocs_);
-      EnsureScratchSize(&argmax_tier_suffix_max_, nblocks + 1,
-                        &scratch_reallocs_);
-      EnsureScratchSize(&argmax_tier_suffix_cnt_, nblocks + 1,
-                        &scratch_reallocs_);
-      // block_cap-sized staging slices of argmax_bounds_: the seed
-      // block's, then one swept-block slice per swept chunk, disjoint
-      // across chunks — O(sqrt(n)) doubles per chunk instead of O(n).
-      EnsureScratchSize(&argmax_bounds_, 2 * cap, &scratch_reallocs_);
-      // One O(#blocks) bound pass and one seed over every block, before
-      // any chunk runs: every chunk starts from the seed as its pruning
-      // floor and reads the seed block's staged bounds.
-      const std::size_t seed_b = SeedRemovalBlocks(
-          ctx, allowed, argmax_bounds_.data(), &best, &have, &local);
-      if (parallel && ManyLiveChunks(chunks, argmax_tier_bounds_, best, have)) {
-        // Keeps the staged seed bounds.
-        EnsureScratchSize(&argmax_bounds_, (num_chunks + 1) * cap,
-                          &scratch_reallocs_);
-        ReduceChunks(
-            pool, num_chunks,
-            [&](std::size_t ci, Candidate* b, bool* h, ArgmaxStats* s) {
-              ScanRemovalBlocksTiered(
-                  chunks[ci].first, chunks[ci].second, ctx, allowed, seed_b,
-                  argmax_bounds_.data(),
-                  argmax_bounds_.data() + (ci + 1) * cap, b, h, s);
-            },
-            &best, &have, &local);
-      } else {
-        ScanRemovalBlocksTiered(0, nblocks, ctx, allowed, seed_b,
-                                argmax_bounds_.data(),
-                                argmax_bounds_.data() + cap, &best, &have,
-                                &local);
-      }
+      ReduceChunks(
+          pool, num_chunks,
+          [&](std::size_t ci, Candidate* b, bool* h, ArgmaxStats* s) {
+            ScanRemovalBlocksTiered(
+                chunks[ci].first, chunks[ci].second, ctx, allowed, seed_b,
+                argmax_bounds_.data(),
+                argmax_bounds_.data() + (ci + 1) * cap, b, h, s);
+          },
+          &best, &have, &local);
     } else {
-      if (prune) {
-        EnsureScratchSize(&argmax_bounds_, m, &scratch_reallocs_);
-        EnsureScratchSize(&argmax_suffix_max_, m, &scratch_reallocs_);
-        EnsureScratchSize(&argmax_suffix_cnt_, m, &scratch_reallocs_);
-      }
-      // Pooled: block-aligned chunks, each pruning against its own best
-      // (the untiered pipeline bounds every candidate inside its chunk).
-      if (parallel) {
-        ReduceChunks(
-            pool, num_chunks,
-            [&](std::size_t ci, Candidate* b, bool* h, ArgmaxStats* s) {
-              ScanRemovalBlocks(chunks[ci].first, chunks[ci].second, bctx,
-                                allowed, b, h, s);
-            },
-            &best, &have, &local);
-      } else {
-        ScanRemovalBlocks(0, nblocks, bctx, allowed, &best, &have, &local);
-      }
+      ScanRemovalBlocksTiered(0, nblocks, ctx, allowed, seed_b,
+                              argmax_bounds_.data(),
+                              argmax_bounds_.data() + cap, &best, &have,
+                              &local);
     }
   }
   if (stats != nullptr) stats->Add(local);

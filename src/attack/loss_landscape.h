@@ -34,17 +34,18 @@
 //    variance/covariance numerators are shift-invariant in exact
 //    integer arithmetic.
 //
-// The per-round argmax over gap endpoints additionally supports a
-// branch-and-bound pruned scan (ArgmaxOptions): every gap is scored
-// against an admissible double-precision upper bound on the exact loss,
-// survivors are re-checked exactly, and the scan exits once every
-// remaining bound is below the running best. The bound provably
-// dominates the exact evaluation (directed-rounding error margins), so
-// the selected candidate stays bit-identical to the exhaustive scan.
+// The per-round argmax over gap endpoints runs one of two scans. The
+// default (ArgmaxOptions::prune) is a branch-and-bound pruned scan:
+// candidates are scored against an admissible double-precision upper
+// bound on the exact loss, survivors are re-checked exactly, and the
+// scan exits once every remaining bound is below the running best. The
+// bound provably dominates the exact evaluation (directed-rounding
+// error margins), so the selected candidate stays bit-identical to the
+// other scan, the serial exhaustive reference.
 //
-// With ArgmaxOptions::cache (the default) the pre-pass is *tiered and
-// incremental*: instead of re-scoring all O(G) gaps every round, the
-// scan first scores one admissible range bound per ~sqrt(G)-gap tier,
+// The pruned scan is *tiered and incremental*: instead of re-scoring
+// all O(G) gaps every round, it first scores one admissible range bound
+// per ~sqrt(G)-gap tier,
 // computed in O(1) from the tier's key range and its first gap's exact
 // (count, prefix-sum) record — state the tiered gap structure maintains
 // incrementally across InsertKey splices. The range bound exploits two
@@ -62,9 +63,8 @@
 // and plain interval arithmetic over a tier's input box decorrelates
 // Cov from VarX badly enough to never skip a tier; the tangent form is
 // what makes a tier-granular bound tight.) Whenever a bound context is
-// not provably admissible the round transparently falls back — tiered
-// scan to the per-round full pre-pass, and that to the exhaustive scan
-// — so results are bit-identical in every mode.
+// not provably admissible the round transparently falls back to the
+// exhaustive scan, so results are bit-identical in every mode.
 
 #ifndef LISPOISON_ATTACK_LOSS_LANDSCAPE_H_
 #define LISPOISON_ATTACK_LOSS_LANDSCAPE_H_
@@ -191,41 +191,26 @@ class LossLandscape {
     long double loss = 0;
   };
 
-  /// \brief Knobs for the pruned argmax (see FindOptimal).
+  /// \brief Scan selection for the argmax (see FindOptimal).
   struct ArgmaxOptions {
-    /// Run the branch-and-bound pruned scan: every gap is scored against
-    /// an admissible per-gap upper bound on the Theorem 1 loss, only the
-    /// survivors are re-checked exactly. The selected Candidate is
-    /// bit-identical to the exhaustive scan (the bound provably
-    /// dominates the exact loss; ties re-check every contender and break
+    /// Run the tiered branch-and-bound pruned scan: one admissible range
+    /// bound per tier, per-gap bounds only inside tiers whose range
+    /// bound reaches the running best, exact re-checks only for the
+    /// surviving gaps. The selected Candidate is bit-identical to the
+    /// exhaustive scan that runs when this is off (the bounds provably
+    /// dominate the exact loss; ties re-check every contender and break
     /// toward the smaller key, the first-maximum-in-key-order rule of
     /// the serial scan).
     bool prune = true;
-
-    /// Tiered incremental pre-pass: score one admissible range bound
-    /// per tier (a covariance left-tangent over the tier's key range,
-    /// O(1) from the incrementally maintained tier state) and re-score
-    /// gaps individually only inside tiers whose range bound reaches
-    /// the running best — O(sqrt(G) + survivors) bound work per round
-    /// instead of O(G). Bit-identical results either way; off restores
-    /// the per-round full pre-pass of PR 3. Only meaningful with
-    /// prune.
-    bool cache = true;
-
-    /// Gaps exactly re-checked up front (in decreasing bound order) to
-    /// seed the running best before the branch-and-bound sweep. Used by
-    /// the uncached pre-pass only; the tiered scan seeds from the
-    /// per-tier bound maxima instead.
-    std::int64_t top_k = 16;
   };
 
   /// \brief Evaluation-count counters accumulated across FindOptimal
   /// calls. Counter values depend on the scan layout (serial vs
   /// chunked), never on the pool size; the returned Candidate is the
-  /// same for every layout. Coherence
-  /// invariant of the tiered (cache) scan, asserted by the stateful
-  /// property harness: per round, cached_bounds + invalidated_gaps
-  /// equals the number of gaps in the scanned range.
+  /// same for every layout. Coherence invariant of the tiered scan,
+  /// asserted by the stateful property harness: per round,
+  /// cached_bounds + invalidated_gaps equals the number of gaps in the
+  /// scanned range.
   struct ArgmaxStats {
     std::int64_t rounds = 0;          ///< FindOptimal calls.
     std::int64_t exact_evals = 0;     ///< Exact Theorem 1 evaluations.
@@ -256,44 +241,45 @@ class LossLandscape {
   /// exists. With \p excluded non-null, keys in that set are skipped
   /// (the RMI attack's globally occupied poisons).
   ///
-  /// With \p pool non-null and running >1 worker, the gap scan fans out
-  /// in fixed chunks of gap ranges. The tiered scan seeds once over the
-  /// whole range and every chunk prunes against that seed (when at most
-  /// one chunk has a tier bound reaching the seed, it sweeps serially
-  /// instead); the chunk winners reduce in chunk order under the serial
-  /// scan's first-maximum-in-key-order rule, so the selected candidate
-  /// is bit-identical for every thread count (greedy_differential_test)
-  /// and the work counters are the same for every pool size.
+  /// With \p argmax.prune (the default) the call runs the *tiered*
+  /// pruned scan: one range bound per tier (a covariance left-tangent
+  /// over the tier's key range), seeding the running best inside the
+  /// tier with the highest range bound, then a key-ordered sweep that
+  /// skips whole tiers whose range bound is below the best, re-scores
+  /// only the surviving tiers per gap, and exits once the suffix maximum
+  /// over the remaining tier bounds is below the best. Tier range bounds
+  /// ignore \p excluded (an excluded endpoint only makes them admissible
+  /// over-estimates; the per-gap phase skips excluded endpoints
+  /// exactly). With \p argmax.prune off, or whenever the bound context
+  /// is not provably admissible (counted in fallback_rounds), the call
+  /// runs the serial exhaustive scan instead, so the result is
+  /// bit-identical in every mode (argmax_pruning_test, the stateful
+  /// property harness). \p stats, when non-null, is accumulated into,
+  /// never reset.
   ///
-  /// With \p argmax.prune (the default) each scan runs the pruned
-  /// pipeline, and with \p argmax.cache runs it *tiered*: one range
-  /// bound per tier (a covariance left-tangent over the tier's key
-  /// range), seeding the running best inside the tier with the highest
-  /// range bound, then a key-ordered sweep that skips whole tiers whose
-  /// range bound is below the best, re-scores only the surviving tiers
-  /// per gap, and exits once the suffix maximum over the remaining tier
-  /// bounds is below the best. Tier range bounds ignore \p excluded
-  /// (an excluded endpoint only makes them admissible over-estimates;
-  /// the per-gap phase skips excluded endpoints exactly). Whenever a bound context is not provably admissible the
-  /// call falls back — tiered scan to per-round pre-pass, pre-pass to
-  /// exhaustive — so the result is bit-identical in every mode
-  /// (argmax_pruning_test, the stateful property harness). \p stats,
-  /// when non-null, is accumulated into, never reset.
+  /// With \p pool non-null and running >1 worker, the tiered sweep fans
+  /// out in fixed chunks of tiers. It seeds once over the whole range
+  /// and every chunk prunes against that seed (when at most one chunk
+  /// has a tier bound reaching the seed, it sweeps serially instead);
+  /// the chunk winners reduce in chunk order under the serial scan's
+  /// first-maximum-in-key-order rule, so the selected candidate is
+  /// bit-identical for every thread count (greedy_differential_test) and
+  /// the work counters are the same for every pool size. The exhaustive
+  /// scan ignores \p pool.
   ///
-  /// Scratch note: the gap-range/bound buffers are engine-owned and
-  /// reused across rounds (no O(G) allocation per call), and the cached
-  /// scan writes bound repairs into the tier structure, which makes
-  /// concurrent FindOptimal calls on the *same* landscape racy; every
-  /// attack drives one landscape from one thread at a time and fans out
-  /// only via \p pool.
+  /// Scratch note: the bound buffers are engine-owned and reused across
+  /// rounds (no per-round allocation once their capacity plateaus),
+  /// which makes concurrent FindOptimal calls on the *same* landscape
+  /// racy; every attack drives one landscape from one thread at a time
+  /// and fans out only via \p pool.
   Result<Candidate> FindOptimal(bool interior_only,
                                 const std::unordered_set<Key>* excluded,
                                 ThreadPool* pool,
                                 const ArgmaxOptions& argmax,
                                 ArgmaxStats* stats = nullptr) const;
 
-  /// \brief Overload with the default ArgmaxOptions (pruning and cache
-  /// on). Kept separate because a nested-class default argument cannot
+  /// \brief Overload with the default ArgmaxOptions (pruning on). Kept
+  /// separate because a nested-class default argument cannot
   /// be spelled inside the enclosing class.
   Result<Candidate> FindOptimal(bool interior_only,
                                 const std::unordered_set<Key>* excluded =
@@ -311,25 +297,25 @@ class LossLandscape {
   /// tier-relative rank/suffix directory scalars — RemovalSoa) — no
   /// per-round landscape reconstruction, and O(sqrt(n)) maintenance
   /// per commit instead of the flat layout's O(n) suffix pass. With
-  /// \p argmax.prune each candidate is scored by an admissible
-  /// double-precision bound (the removal dual of the insertion bound,
-  /// same component-magnitude margins) and only survivors are
-  /// evaluated exactly; with \p argmax.cache (the default) the scan is
-  /// additionally *tiered*: one admissible chord bound per storage
-  /// block (the covariance is concave piecewise-linear along the
-  /// stored keys, so the chord through a block's exact endpoint
-  /// records minorizes it), and only blocks whose bound reaches the
-  /// running best are re-scored per key through the batched
-  /// auto-vectorizable SoA kernel — O(sqrt(n) + survivors) bound work
-  /// per round instead of O(n). The commit structure and the bound
-  /// tier structure are the same blocks, so the next round's chords
-  /// see every commit exactly. With \p argmax.prune off every
-  /// candidate is evaluated exactly. Results are bit-identical to an index-ordered
-  /// exhaustive scan (ties break toward the smaller key) for every
-  /// prune/cache/thread setting; whenever the bound arithmetic is not
-  /// provably admissible (wide domains) the round transparently falls
-  /// back to the exact Int128 scan. Counter contract of the tiered
-  /// scan: cached_bounds + invalidated_gaps == candidates in the scan.
+  /// \p argmax.prune (the default) the scan is *tiered*: one admissible
+  /// chord bound per storage block (the covariance is concave
+  /// piecewise-linear along the stored keys, so the chord through a
+  /// block's exact endpoint records minorizes it), and only blocks
+  /// whose bound reaches the running best are re-scored per key by the
+  /// removal dual of the insertion bound (same component-magnitude
+  /// margins), with exact evaluations only for the surviving keys —
+  /// O(sqrt(n) + survivors) bound work per round instead of O(n). The
+  /// commit structure and the bound tier structure are the same blocks,
+  /// so the next round's chords see every commit exactly. A pool fans
+  /// the tiered sweep out exactly as in FindOptimal. With
+  /// \p argmax.prune off every candidate is evaluated exactly by a
+  /// serial scan that ignores \p pool. Results are bit-identical to an
+  /// index-ordered exhaustive scan (ties break toward the smaller key)
+  /// for every prune/thread setting; whenever the bound arithmetic is
+  /// not provably admissible the round transparently falls back to an
+  /// exhaustive scan (exact Int128 on wide domains). Counter contract
+  /// of the tiered scan: cached_bounds + invalidated_gaps == candidates
+  /// in the scan.
   ///
   /// Fails with FailedPrecondition when fewer than three keys are
   /// stored and ResourceExhausted when \p allowed rules every key out.
@@ -470,32 +456,17 @@ class LossLandscape {
   /// Builds / refreshes the block-local removal-candidate SoA.
   void EnsureRemovalSoa() const;
 
-  /// One materialized candidate gap range: everything the per-candidate
-  /// loss evaluation needs, captured in key order.
-  struct GapRange {
-    Key lo = 0;
-    Key hi = 0;
-    Rank count_less = 0;
-    Int128 suffix_sum = 0;
-  };
-
-  /// Per-round double-precision bound context (the uncached pre-pass);
-  /// defined in the .cc.
+  /// Per-round double-precision insertion bound context; defined in the
+  /// .cc.
   struct BoundCtx;
 
   /// Removal-side bound context (the dual of BoundCtx over the n-1
   /// surviving keys); defined in the .cc.
   struct RemovalBoundCtx;
 
-  /// Removal-scan worker over the SoA storage blocks [bfirst, bend):
-  /// batched per-key bound pass into the global candidate-indexed
-  /// scratch (bound_ctx non-null), max-bound exact seed, key-ordered
-  /// pruned sweep with suffix-max early exit — or the plain exhaustive
-  /// block walk when bound_ctx is null. Folds the winner into
-  /// *best/*have via the first-maximum-in-key-order rule.
-  void ScanRemovalBlocks(std::size_t bfirst, std::size_t bend,
-                         const RemovalBoundCtx* bound_ctx,
-                         const std::unordered_set<Key>* allowed,
+  /// Exhaustive removal scan: exact loss of every allowed stored key,
+  /// in key order over the SoA storage blocks, folded into *best/*have.
+  void ScanRemovalBlocks(const std::unordered_set<Key>* allowed,
                          Candidate* best, bool* have,
                          ArgmaxStats* stats) const;
 
@@ -510,11 +481,11 @@ class LossLandscape {
                         const std::unordered_set<Key>* allowed, double* out,
                         ArgmaxStats* stats) const;
 
-  /// Prologue of the tiered removal scan (ArgmaxOptions::cache), over
-  /// every SoA storage block: one admissible chord bound per block
-  /// (along the stored keys the covariance is concave piecewise-linear,
-  /// so the chord through a block's exact endpoint records minorizes
-  /// it) into argmax_tier_bounds_, with global suffix max/count; then
+  /// Prologue of the tiered removal scan, over every SoA storage block:
+  /// one admissible chord bound per block (along the stored keys the
+  /// covariance is concave piecewise-linear, so the chord through a
+  /// block's exact endpoint records minorizes it) into
+  /// argmax_tier_bounds_, with global suffix max/count; then
   /// the seed — the highest-chord block's per-key bounds staged into
   /// \p seed_bounds (block_cap wide) and its best key exact-evaluated
   /// into *best/*have. Returns the seed block (block_count() if none).
@@ -529,7 +500,7 @@ class LossLandscape {
   /// \p scratch (this chunk's block_cap slice; the seed block reuses
   /// \p seed_bounds) — O(sqrt(n) + survivors) bound work per round
   /// instead of O(n). Counter contract mirrors the insertion tier
-  /// cache: cached_bounds + invalidated_gaps == candidates swept.
+  /// scan: cached_bounds + invalidated_gaps == candidates swept.
   void ScanRemovalBlocksTiered(std::size_t bfirst, std::size_t bend,
                                const RemovalBoundCtx& ctx,
                                const std::unordered_set<Key>* allowed,
@@ -537,27 +508,17 @@ class LossLandscape {
                                double* scratch, Candidate* best, bool* have,
                                ArgmaxStats* stats) const;
 
-  /// Scans argmax_ranges_[first, end) for the best candidate using the
-  /// exhaustive loop (bound_ctx == nullptr) or the uncached pruned
-  /// pipeline, and folds the winner into *best/*have via the
-  /// first-maximum-in-key-order tie rule. Accumulates counters into
-  /// *stats.
-  void ScanGapRanges(std::size_t first, std::size_t end, std::int64_t top_k,
-                     const BoundCtx* bound_ctx,
-                     const std::unordered_set<Key>* excluded,
-                     Candidate* best, bool* have, ArgmaxStats* stats) const;
-
   /// Seed of the tiered scan over tier-list positions [0, num_listed)
   /// (indices into argmax_tier_list_, whose per-tier range bounds and
   /// suffix arrays FindOptimal filled): stages the per-gap bounds of the
   /// tier with the highest range bound into \p seed_bounds (tier_cap
-  /// wide; \p soa is a 4*tier_cap staging slice) and exact-evaluates its
-  /// best gap into *best/*have. Returns the tier's position (num_listed
-  /// if none) and the evaluated gap in *seed_gap.
+  /// wide) and exact-evaluates its best gap into *best/*have. Returns the
+  /// tier's position (num_listed if none) and the evaluated gap in
+  /// *seed_gap.
   std::size_t SeedTiersCached(std::size_t num_listed, Key lo_bound,
                               Key hi_bound, const BoundCtx& ctx,
                               const std::unordered_set<Key>* excluded,
-                              double* seed_bounds, double* soa,
+                              double* seed_bounds,
                               const TieredGaps::GapRec** seed_gap,
                               Candidate* best, bool* have,
                               ArgmaxStats* stats) const;
@@ -565,40 +526,29 @@ class LossLandscape {
   /// Tiered-scan sweep over tier-list positions [first, end) after
   /// SeedTiersCached, from the running best in *best/*have. Tiers whose
   /// range bound is below the best are skipped whole; survivors are
-  /// re-scored per gap into \p scratch (this chunk's tier_cap slice,
-  /// staged through its 4*tier_cap \p soa slice), except the seed tier,
-  /// which reuses \p seed_bounds and skips the already evaluated
-  /// \p seed_gap.
+  /// re-scored per gap into \p scratch (this chunk's tier_cap slice),
+  /// except the seed tier, which reuses \p seed_bounds and skips the
+  /// already evaluated \p seed_gap.
   void ScanTiersCached(std::size_t first, std::size_t end, Key lo_bound,
                        Key hi_bound, const BoundCtx& ctx,
                        const std::unordered_set<Key>* excluded,
                        std::size_t seed_pos,
                        const TieredGaps::GapRec* seed_gap,
                        const double* seed_bounds, double* scratch,
-                       double* soa, Candidate* best, bool* have,
-                       ArgmaxStats* stats) const;
+                       Candidate* best, bool* have, ArgmaxStats* stats) const;
 
-  /// Per-gap bounds of the in-range gaps of tier \p t into \p out: the
-  /// batched kernel for large fully in-range tiers with no exclusions,
-  /// the scalar per-gap path otherwise (-inf for fully excluded gaps).
+  /// Per-gap bounds of the in-range gaps of tier \p t into \p out (-inf
+  /// for fully excluded gaps).
   void StageTierBounds(const TieredGaps::Tier& t, Key lo_bound, Key hi_bound,
                        const BoundCtx& ctx,
-                       const std::unordered_set<Key>* excluded, double* soa,
-                       double* out, ArgmaxStats* stats) const;
+                       const std::unordered_set<Key>* excluded, double* out,
+                       ArgmaxStats* stats) const;
 
   /// Exact insertion losses of gap \p g's non-excluded endpoints, folded
   /// into *best/*have.
   void EvalTierGap(const TieredGaps::GapRec& g, const TieredGaps::Tier& t,
                    const std::unordered_set<Key>* excluded, Candidate* best,
                    bool* have, ArgmaxStats* stats) const;
-
-  /// Batched per-gap bound scores of one *fully in-range* tier with no
-  /// exclusions: a scalar staging pass extracts the gap endpoints into
-  /// the SoA slice \p soa, then an auto-vectorizable pure-double kernel
-  /// writes max(bound(lo), bound(hi)) per gap into \p out. Counts the
-  /// same bound_evals the scalar path would.
-  void BatchTierBounds(const TieredGaps::Tier& t, const BoundCtx& ctx,
-                       double* soa, double* out, ArgmaxStats* stats) const;
 
   /// In-range gap count of tier \p t for the tiered scan ([lo_bound,
   /// hi_bound] never clips a gap partially — see FindOptimal).
@@ -634,11 +584,9 @@ class LossLandscape {
 
   // Engine-owned argmax scratch, reused across rounds (see FindOptimal's
   // scratch note). Mutable: FindOptimal is logically const.
-  mutable std::vector<GapRange> argmax_ranges_;
+  // Per-gap/per-key bound slices of the tiered scans (one seed slice plus
+  // one per swept chunk, each tier_cap or block_cap wide).
   mutable std::vector<double> argmax_bounds_;
-  mutable std::vector<double> argmax_suffix_max_;
-  mutable std::vector<std::int64_t> argmax_suffix_cnt_;
-  mutable std::vector<std::size_t> argmax_order_;
   // Tiered-scan scratch (sized by tier count, ~sqrt(G)).
   mutable std::vector<std::size_t> argmax_tier_list_;
   mutable std::vector<double> argmax_tier_bounds_;
@@ -646,8 +594,6 @@ class LossLandscape {
   mutable std::vector<std::int64_t> argmax_tier_suffix_cnt_;
   mutable std::vector<std::pair<std::size_t, std::size_t>>
       argmax_chunk_tiers_;
-  mutable std::vector<double> argmax_soa_;  // SoA staging of the batched
-                                            // per-gap bound kernel.
   mutable std::int64_t scratch_reallocs_ = 0;
 
   // Removal-candidate SoA: the current keys in sorted ~sqrt(n) blocks

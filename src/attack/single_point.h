@@ -36,35 +36,21 @@ struct AttackOptions {
   /// LossLandscape::FindOptimal).
   int num_threads = 1;
 
-  /// Branch-and-bound pruning of the per-round argmax: a double-
-  /// precision pre-pass bounds every gap's loss from above, only the
-  /// top-K bounds plus the gaps whose bound beats the running best are
-  /// evaluated exactly. Bit-identical to the exhaustive scan for every
-  /// setting (the bound is admissible, with an exhaustive fallback when
-  /// it is not provably so); off buys nothing but the reference
+  /// Tiered branch-and-bound pruning of the per-round argmax: one
+  /// admissible double-precision bound per ~sqrt(G)-gap tier (from the
+  /// per-tier aggregates the gap structure maintains across
+  /// insertions), per-gap bounds only inside tiers whose bound reaches
+  /// the running best, and exact evaluation only for the gaps whose
+  /// bound does. Bit-identical to the exhaustive scan for every setting
+  /// (the bounds are admissible, with an exhaustive fallback when they
+  /// are not provably so); off buys nothing but the reference
   /// evaluation counts.
   bool prune_argmax = true;
 
-  /// Tiered incremental pre-pass: score one admissible bound per
-  /// ~sqrt(G)-gap tier (from the per-tier aggregates the gap structure
-  /// maintains across insertions) and re-score gaps individually only
-  /// inside tiers whose box bound reaches the running best, instead of
-  /// re-scoring all O(G) gaps every round. Bit-identical results either
-  /// way; off restores the per-round full pre-pass. Only meaningful
-  /// with prune_argmax.
-  bool cache_argmax = true;
-
-  /// Gaps exactly re-checked up front when pruning (seed of the
-  /// branch-and-bound running best); the tiered scan seeds from the
-  /// per-tier bound maxima instead.
-  std::int64_t argmax_top_k = 16;
-
-  /// \brief The LossLandscape-level view of the argmax knobs.
+  /// \brief The LossLandscape-level view of the argmax options.
   LossLandscape::ArgmaxOptions ArgmaxKnobs() const {
     LossLandscape::ArgmaxOptions knobs;
     knobs.prune = prune_argmax;
-    knobs.cache = cache_argmax;
-    knobs.top_k = argmax_top_k;
     return knobs;
   }
 };

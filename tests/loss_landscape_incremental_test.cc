@@ -209,7 +209,7 @@ TEST(LossLandscapeIncrementalTest, PrunerSurvivesDuplicateAdjacentKeys) {
 }
 
 TEST(LossLandscapeIncrementalTest, PrunerSurvivesSingleGapLandscape) {
-  // One interior gap; the pruned scan degenerates to top-K on a single
+  // One interior gap; the pruned scan degenerates to its seed on a single
   // entry and must still match exactly, down to the last unoccupied key.
   auto ks = KeySet::Create({100, 200}, KeyDomain{100, 200});
   ASSERT_TRUE(ks.ok());

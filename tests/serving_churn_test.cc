@@ -67,13 +67,16 @@ TEST(ServingChurnTest, ReadersNeverObserveTornStateUnderChurn) {
   const std::vector<Key> fresh = FreshKeys(ks, 4000);
   ASSERT_GE(static_cast<std::int64_t>(fresh.size()), 3000);
 
+  constexpr int kReaders = 2;
   std::atomic<bool> stop{false};
   std::atomic<std::int64_t> reads_done{0};
+  std::atomic<int> readers_live{0};
   std::atomic<bool> torn{false};
   std::vector<std::thread> readers;
-  for (int t = 0; t < 2; ++t) {
+  for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&, t] {
       Rng rng(1000 + static_cast<std::uint64_t>(t));
+      bool first = true;
       while (!stop.load(std::memory_order_relaxed)) {
         // Base keys are present in every snapshot ever published —
         // before, during, and after any compaction — so a miss here
@@ -92,13 +95,24 @@ TEST(ServingChurnTest, ReadersNeverObserveTornStateUnderChurn) {
           return;
         }
         reads_done.fetch_add(1, std::memory_order_relaxed);
+        if (first) {
+          first = false;
+          readers_live.fetch_add(1, std::memory_order_release);
+        }
       }
     });
   }
 
   // Writer: every fresh key lands while the readers run; each insert is
   // an overlay copy + pointer publish, with compactions retraining the
-  // shard substrates off-thread underneath the readers.
+  // shard substrates off-thread underneath the readers. It starts only
+  // once every reader has completed a read, so the reads_done check
+  // below cannot depend on whether the scheduler ran the readers before
+  // the writer finished.
+  while (readers_live.load(std::memory_order_acquire) < kReaders &&
+         !torn.load()) {
+    std::this_thread::yield();
+  }
   for (const Key k : fresh) {
     ASSERT_TRUE((*backend)->Insert(k).ok());
   }
@@ -160,12 +174,15 @@ TEST(ServingChurnTest, TelemetryHotReadPathStaysLockFreeUnderChurn) {
   TelemetrySampler sampler;
   sampler.Start(/*interval_ms=*/5);
 
+  constexpr int kReaders = 2;
   std::atomic<bool> stop{false};
+  std::atomic<int> readers_live{0};
   std::atomic<bool> torn{false};
   std::vector<std::thread> readers;
-  for (int t = 0; t < 2; ++t) {
+  for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&, t] {
       Rng rng(3000 + static_cast<std::uint64_t>(t));
+      bool first = true;
       while (!stop.load(std::memory_order_relaxed)) {
         const Key base_key = ks.at(rng.UniformInt(0, ks.size() - 1));
         if (!(*backend)->Lookup(base_key).found) {
@@ -177,8 +194,18 @@ TEST(ServingChurnTest, TelemetryHotReadPathStaysLockFreeUnderChurn) {
           torn.store(true);
           return;
         }
+        if (first) {
+          first = false;
+          readers_live.fetch_add(1, std::memory_order_release);
+        }
       }
     });
+  }
+  // As above: the writer starts only once every reader has read, so the
+  // lookup counter has moved whatever the scheduler does.
+  while (readers_live.load(std::memory_order_acquire) < kReaders &&
+         !torn.load()) {
+    std::this_thread::yield();
   }
   for (const Key k : fresh) {
     ASSERT_TRUE((*backend)->Insert(k).ok());

@@ -8,12 +8,12 @@ report shape the rest of the tooling depends on:
     (exact_evals / bound_evals / pruned_gaps / cached_bounds /
     invalidated_gaps / fallback_rounds) plus the threading metadata
     (num_threads, hardware_concurrency);
-  * prune on/off and cache on/off siblings of the same configuration
-    agree on the attack outcome (ratio_loss) — neither pruning nor the
-    tiered bound cache may ever change results;
-  * the cache-on arm's bound/exact work stays within a bounded factor
-    of the cache-off pre-pass even on dense configs, and the prune-off
-    arm does no bound work at all;
+  * prune on/off siblings of the same configuration agree on the
+    attack outcome (ratio_loss) — pruning may never change results;
+  * the pruned (tiered) arm does no more exact work than the prune-off
+    arm, and its bound work stays within a bounded factor of one score
+    per candidate (the prune-off arm's exact_evals) even on dense
+    configs; the prune-off arm does no bound work at all;
   * tools/bench_compare.py can pair every incremental entry with its
     reference sibling and compute speedups (the CI regression gate).
 
@@ -21,17 +21,18 @@ With a second argument — the committed BENCH_attack_throughput.json —
 it additionally asserts the committed-trajectory acceptance criteria:
 
   * ISSUE 4: on the sparse n=100k insertion configs (uniform and
-    log-normal, serial, pruned) the cache-on arm's bound_evals are
-    >= 10x below the cache-off arm's;
+    log-normal, serial) the pruned arm's bound_evals are >= 10x below
+    the prune-off arm's exact_evals, one score per candidate (the work
+    a per-gap bound pass would do every round);
   * ISSUE 5: the incremental GreedyDeleteCdf at n=100k is >= 10x faster
     (wall-clock) than the rebuild-per-round deletion reference, with
-    outcome-identical prune/cache arms.
+    outcome-identical prune arms.
 
 The update-stream configs (BM_GreedyDeleteCdf_*, BM_GreedyModifyCdf_*)
-share the 6-arg (dataset, n, budget, threads, prune, cache) layout and
-the full counter contract: the removal argmax's cache mode is the
+share the 5-arg (dataset, n, budget, threads, prune) layout and the
+full counter contract: the removal argmax's pruned mode is the
 block-chord tiered scan, whose cached/invalidated counters obey the
-same disposition invariant as the insertion tier cache.
+same disposition invariant as the insertion tiered scan.
 
 Registered as a ctest (bench_attack_json_golden) so the structure is
 checked by the tier-1 suite, including the sanitizer matrix. Usage:
@@ -138,7 +139,7 @@ REQUIRED_COUNTERS = (
 
 
 def split_args(name):
-    """'BM_X/1/100000/1000/1/1/0' -> ('BM_X', (1, 100000, 1000, 1, 1, 0))."""
+    """'BM_X/1/100000/1000/1/0' -> ('BM_X', (1, 100000, 1000, 1, 0))."""
     parts = name.split("/")
     return parts[0], tuple(int(p) for p in parts[1:])
 
@@ -164,69 +165,51 @@ def outcome(entry):
 def check_entries(entries, require_pairs):
     """Outcome-identity and counter checks over incremental entries.
 
-    Incremental args are (dataset, n, p_or_models, threads, prune, cache).
-    Returns (prune_pairs, cache_pairs).
+    Incremental args are (dataset, n, p_or_models, threads, prune).
+    Returns the number of prune on/off sibling pairs.
     """
-    prune_pairs = cache_pairs = 0
+    prune_pairs = 0
     for name, entry in entries.items():
         base, args = split_args(name)
-        if "_Incremental" not in base or len(args) != 6:
+        if "_Incremental" not in base or len(args) != 5:
             continue
-        prune, cache = args[4], args[5]
-        if prune == 0:
+        if args[4] == 0:
             assert entry["bound_evals"] == 0, f"{name} (prune off) scored bounds"
             assert entry["cached_bounds"] == 0 and entry["invalidated_gaps"] == 0, (
-                f"{name} (prune off) touched the tier cache counters"
+                f"{name} (prune off) touched the tier counters"
             )
-        if prune == 1:
-            # A pruned arm that silently degenerates to the exhaustive
-            # fallback every round would pass the outcome checks; it
-            # must actually score bounds.
-            assert entry["bound_evals"] > 0, (
-                f"{name} (prune on) never scored a bound"
+            continue
+        # A pruned arm that silently degenerates to the exhaustive
+        # fallback every round would pass the outcome checks; it must
+        # actually score bounds and disposition gaps through its tiers.
+        assert entry["bound_evals"] > 0, (
+            f"{name} (prune on) never scored a bound"
+        )
+        assert entry["cached_bounds"] + entry["invalidated_gaps"] > 0, (
+            f"{name} (prune on) never dispositioned a gap"
+        )
+        # Prune pair: same config, prune flipped.
+        off_name = sibling(entries, name, 4, 0)
+        if off_name is not None:
+            off = entries[off_name]
+            prune_pairs += 1
+            assert outcome(entry) == outcome(off), (
+                f"pruning changed the attack outcome: {name}"
             )
-        if prune == 1 and cache == 0:
-            assert entry["cached_bounds"] == 0 and entry["invalidated_gaps"] == 0, (
-                f"{name} (cache off) touched the tier cache counters"
+            assert entry["exact_evals"] <= off["exact_evals"], (
+                f"pruning increased exact evaluations: {name}"
             )
-        if prune == 1 and cache == 1:
-            assert entry["cached_bounds"] + entry["invalidated_gaps"] > 0, (
-                f"{name} (cache on) never dispositioned a gap"
+            # The exhaustive arm's exact_evals count one score per
+            # candidate, the work of a per-gap bound pass. Dense configs
+            # (few gaps, few skippable tiers) may pay a bounded overhead
+            # over it; the >= 10x sparse win is asserted on the committed
+            # baseline below.
+            assert entry["bound_evals"] <= off["exact_evals"] * 2, (
+                f"the tiered scan blew up bound work: {name}"
             )
-        # Prune pair: same config, prune flipped (cache-off arms).
-        if prune == 1 and cache == 0:
-            off_name = sibling(entries, name, 4, 0)
-            if off_name is not None:
-                off = entries[off_name]
-                prune_pairs += 1
-                assert outcome(entry) == outcome(off), (
-                    f"pruning changed the attack outcome: {name}"
-                )
-                assert entry["exact_evals"] <= off["exact_evals"], (
-                    f"pruning increased exact evaluations: {name}"
-                )
-        # Cache pair: same pruned config, cache flipped.
-        if prune == 1 and cache == 1:
-            off_name = sibling(entries, name, 5, 0)
-            if off_name is not None:
-                off = entries[off_name]
-                cache_pairs += 1
-                assert outcome(entry) == outcome(off), (
-                    f"the bound cache changed the attack outcome: {name}"
-                )
-                # Dense configs (few gaps, few skippable tiers) may pay
-                # a bounded overhead; the >= 10x sparse win is asserted
-                # on the committed baseline below.
-                assert entry["bound_evals"] <= off["bound_evals"] * 2, (
-                    f"the tiered cache blew up bound work: {name}"
-                )
-                assert entry["exact_evals"] <= off["exact_evals"] * 2, (
-                    f"the tiered cache blew up exact evaluations: {name}"
-                )
     if require_pairs:
         assert prune_pairs > 0, "no prune on/off sibling pair found"
-        assert cache_pairs > 0, "no cache on/off sibling pair found"
-    return prune_pairs, cache_pairs
+    return prune_pairs
 
 
 def load_entries(path_or_report):
@@ -246,30 +229,31 @@ def check_committed_baseline(path):
     """Committed-trajectory acceptance gates (ISSUE 4 + ISSUE 5)."""
     entries = load_entries(path)
     sparse = [
-        f"{GREEDY_INCREMENTAL}/{dataset}/100000/1000/1/1/1"
+        f"{GREEDY_INCREMENTAL}/{dataset}/100000/1000/1/1"
         for dataset in (1, 2)  # kUniform, kLogNormal
     ]
     checked = 0
     for name in sparse:
         assert name in entries, f"committed baseline lacks {name}"
-        off_name = sibling(entries, name, 5, 0)
-        assert off_name is not None, f"committed baseline lacks {name}'s cache-off arm"
+        off_name = sibling(entries, name, 4, 0)
+        assert off_name is not None, f"committed baseline lacks {name}'s prune-off arm"
         on, off = entries[name], entries[off_name]
-        assert on["bound_evals"] * 10 <= off["bound_evals"], (
-            f"committed baseline: cache-on bound_evals not >=10x below "
-            f"cache-off for {name} ({on['bound_evals']} vs {off['bound_evals']})"
+        assert on["bound_evals"] * 10 <= off["exact_evals"], (
+            f"committed baseline: pruned bound_evals not >=10x below the "
+            f"prune-off exact_evals for {name} "
+            f"({on['bound_evals']} vs {off['exact_evals']})"
         )
         assert on["ratio_loss"] == off["ratio_loss"], (
-            f"committed baseline: cache changed the outcome for {name}"
+            f"committed baseline: pruning changed the outcome for {name}"
         )
         checked += 1
 
     # ISSUE 5: deletion on the incremental engine >= 10x the
     # rebuild-per-round reference wall-clock at n=100k, outcomes
-    # identical across the prune/cache arms.
+    # identical across the prune arms.
     deletion_gates = 0
     for dataset in (1, 2):  # kUniform, kLogNormal
-        inc_name = f"{DELETE_INCREMENTAL}/{dataset}/100000/200/1/1/1"
+        inc_name = f"{DELETE_INCREMENTAL}/{dataset}/100000/200/1/1"
         ref_name = f"{DELETE_REFERENCE}/{dataset}/100000/200"
         assert inc_name in entries, f"committed baseline lacks {inc_name}"
         assert ref_name in entries, f"committed baseline lacks {ref_name}"
@@ -287,7 +271,7 @@ def check_committed_baseline(path):
 
     check_entries(entries, require_pairs=True)
     print(
-        f"committed baseline OK: {checked} sparse cache pairs >= 10x, "
+        f"committed baseline OK: {checked} sparse prune pairs >= 10x, "
         f"{deletion_gates} deletion wall-clock gates >= 10x"
     )
 
@@ -653,9 +637,9 @@ def check_attack_10m(path):
     show ~100x and fail loudly.
     """
     entries = load_entries(path)
-    big_insert = f"{GREEDY_INCREMENTAL}/1/10000000/200/1/1/1"
-    big_delete = f"{DELETE_INCREMENTAL}/1/10000000/200/1/1/1"
-    small_delete = f"{DELETE_INCREMENTAL}/1/100000/200/1/1/1"
+    big_insert = f"{GREEDY_INCREMENTAL}/1/10000000/200/1/1"
+    big_delete = f"{DELETE_INCREMENTAL}/1/10000000/200/1/1"
+    small_delete = f"{DELETE_INCREMENTAL}/1/100000/200/1/1"
     for name in (big_insert, big_delete, small_delete):
         assert name in entries, f"committed baseline lacks the scale row {name}"
     for name in (big_insert, big_delete):
@@ -720,7 +704,7 @@ def main():
             [
                 bench,
                 # Dense n=10^4 greedy-family configs only (insertion,
-                # deletion, modification prune/cache arms + references):
+                # deletion, modification prune arms + references):
                 # cheap enough for sanitizer builds. The trailing slash
                 # anchors the arg — google-benchmark filters are
                 # unanchored partial-match regexes, and a bare /0/10000
@@ -756,7 +740,7 @@ def main():
         for counter in REQUIRED_COUNTERS:
             assert counter in entry, f"{name} is missing counter {counter}"
 
-    prune_pairs, cache_pairs = check_entries(entries, require_pairs=True)
+    prune_pairs = check_entries(entries, require_pairs=True)
 
     # The CI regression gate must be able to pair and rate every
     # incremental entry despite the extra trailing args.
@@ -767,7 +751,7 @@ def main():
 
     print(
         f"bench JSON golden OK: {len(incremental)} incremental entries, "
-        f"{prune_pairs} prune pair(s), {cache_pairs} cache pair(s), "
+        f"{prune_pairs} prune pair(s), "
         f"{len(speedups)} speedup(s)"
     )
 
