@@ -4,10 +4,12 @@
 // OSM-like dense runs, log-normal skew, sparse uniform).
 //
 // Run the acceptance configuration and commit the JSON trajectory:
-//   ./bench_attack_throughput --benchmark_out=BENCH_attack_throughput.json \
+//   ./bench_attack_throughput --benchmark_repetitions=5 \
+//       --benchmark_out=BENCH_attack_throughput.json \
 //       --benchmark_out_format=json
 // CI smoke-runs this binary with a small --benchmark_filter +
-// --benchmark_min_time cap; the committed JSON comes from a full run.
+// --benchmark_min_time cap and five repetitions; the committed JSON
+// comes from one full run.
 
 #include <benchmark/benchmark.h>
 

@@ -37,7 +37,8 @@ import sys
 def load_benchmarks(path):
     """name -> metric for every entry of a benchmark or serving report.
 
-    google-benchmark JSON ("benchmarks" array): real_time per entry.
+    google-benchmark JSON ("benchmarks" array): real_time per entry, or
+    the median over repetitions where the file has a median aggregate.
 
     bench_serving report ("configs" array): one entry per
     workload/backend/variant, valued at the *mean work per op* — the
@@ -60,10 +61,15 @@ def load_benchmarks(path):
                 name += f"/s{cfg['num_shards']}"
             out[name] = float(cfg["work"]["mean"])
         return out
+    medians = {}
     for bench in data.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
-            continue
-        out[bench["name"]] = float(bench["real_time"])
+        if bench.get("run_type") != "aggregate":
+            out[bench["name"]] = float(bench["real_time"])
+        elif bench.get("aggregate_name") == "median":
+            medians[bench["run_name"]] = float(bench["real_time"])
+    # A repeated benchmark (--benchmark_repetitions) is valued at the
+    # median of its repetitions, not at its last sample.
+    out.update(medians)
     return out
 
 
